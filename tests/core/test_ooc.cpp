@@ -190,6 +190,51 @@ TEST_F(OocTest, SuiteResultsMatchInCoreBitwise) {
   }
 }
 
+TEST_F(OocTest, InjectedCodecFaultsGiveIdenticalVerdictsOnBothLegs) {
+  // The fixture's parity runs are fault-free. Here the codec-error verdict
+  // and its lossless re-scoring must agree too: the same variant fails,
+  // with the same message, re-scored by the same stand-in, on both legs.
+  const auto compare = [&](const OocConfig& cfg, const char* site,
+                           const fail::Trigger& trigger, std::size_t failed_variant) {
+    for (const char* name : {"U", "SST"}) {
+      SCOPED_TRACE(std::string(site) + " on " + name);
+      SuiteResults incore;
+      SuiteResults streaming;
+      {
+        fail::ScopedFailpoint fp(site, trigger);
+        incore = run_suite(*ensemble_, cfg.suite, {name});
+      }
+      {
+        fail::ScopedFailpoint fp(site, trigger);
+        streaming = run_suite_streaming(*ensemble_, cfg, {name});
+      }
+      ASSERT_EQ(incore.variables.size(), 1u);
+      ASSERT_FALSE(incore.variables[0].processing_failed);
+      const VariableVerdict& hit = incore.variables[0].verdicts.at(failed_variant);
+      EXPECT_TRUE(hit.codec_error);
+      EXPECT_EQ(hit.fallback_codec.empty(), !cfg.suite.lossless_fallback);
+      EXPECT_EQ(suite_results_csv(streaming), suite_results_csv(incore));
+      ASSERT_EQ(streaming.variables.size(), 1u);
+      expect_variable_eq(streaming.variables[0], incore.variables[0]);
+    }
+  };
+  for (const bool fallback : {true, false}) {
+    SCOPED_TRACE(fallback ? "lossless fallback on" : "lossless fallback off");
+    OocConfig cfg = ooc_config();
+    cfg.suite.lossless_fallback = fallback;
+    // Catalog slot 0 is GRIB2 (NetCDF-4 stand-in), slot 4 fpzip-24
+    // (fpzip-32 stand-in).
+    for (const std::size_t k : {std::size_t{1}, std::size_t{5}}) {
+      compare(cfg, "suite.verify_variant", fail::Trigger::nth(k), k - 1);
+    }
+  }
+  // A real decode failure mid-verify: the first fpzip decode is the first
+  // test member's first chunk of fpzip-24 on both legs (one worker keeps
+  // the chunk order fixed).
+  ScopedScheduler sched(1);
+  compare(ooc_config(), "fpz.decode", fail::Trigger::once(), 4);
+}
+
 TEST_F(OocTest, StreamingIsWorkerCountInvariant) {
   const OocConfig cfg = ooc_config();
   const climate::VariableSpec& spec = ensemble_->variable("SST");
