@@ -124,16 +124,4 @@ void PlanStore::insert(const std::string& key, const PrepPlanPtr& plan) {
   resident_ += bytes;
 }
 
-RoundTrip planned_round_trip(PlanStore* plans, const Codec& codec,
-                             std::span<const float> data, const Shape& shape,
-                             std::uint64_t block) {
-  if (plans == nullptr) return round_trip(codec, data, shape);
-  RoundTrip rt;
-  Bytes stream = plans->encode(codec, data, shape, block);
-  rt.compressed_bytes = stream.size();
-  rt.cr = compression_ratio(stream.size(), data.size());
-  rt.reconstructed = codec.decode(stream);
-  return rt;
-}
-
 }  // namespace cesm::comp

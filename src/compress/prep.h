@@ -89,11 +89,4 @@ class PlanStore {
   std::uint64_t reused_ = 0;
 };
 
-/// Round-trip through `plans` when non-null (plan-driven encode, direct
-/// decode), or the plain direct path when null. The decode side never
-/// changes: plans only affect how the identical stream bytes are produced.
-[[nodiscard]] RoundTrip planned_round_trip(PlanStore* plans, const Codec& codec,
-                                           std::span<const float> data,
-                                           const Shape& shape, std::uint64_t block);
-
 }  // namespace cesm::comp

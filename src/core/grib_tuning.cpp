@@ -1,6 +1,7 @@
 #include "core/grib_tuning.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "compress/grib2/grib2.h"
 #include "core/suite.h"
@@ -10,58 +11,40 @@
 
 namespace cesm::core {
 
-GribTuning rmsz_guided_decimal_scale(const EnsembleStats& stats,
+GribTuning rmsz_guided_decimal_scale(const MemberSource& source,
                                      std::optional<float> fill,
                                      std::span<const std::size_t> test_members,
                                      const PvtThresholds& thresholds,
-                                     int significant_digits,
-                                     int max_extra_digits,
-                                     std::size_t chunk_elems,
-                                     comp::PlanStore* plans) {
+                                     int significant_digits, int max_extra_digits,
+                                     std::size_t chunk_elems, comp::PlanStore* plans) {
   CESM_REQUIRE(!test_members.empty());
   trace::Span span("grib.tune");
-  PvtVerifier verifier(stats, thresholds);
+  PvtVerifier verifier(source, thresholds);
   verifier.set_plan_store(plans);
 
   // Magnitude-based starting point from the probe member's range.
-  const climate::Field& probe = stats.member(test_members.front());
-  const std::vector<std::uint8_t> mask = probe.valid_mask();
-  const stats::Summary summary = stats::summarize(std::span<const float>(probe.data), mask);
+  const stats::Summary summary = source.member_summary(test_members.front());
   const int d0 = comp::choose_decimal_scale(summary.min, summary.max, significant_digits);
 
   GribTuning tuning;
   tuning.decimal_scale = d0;
   for (int extra = 0; extra <= max_extra_digits; ++extra) {
     const int d = std::min(30, d0 + extra);
-    const comp::CodecPtr codec_ptr =
+    const comp::CodecPtr codec =
         with_chunking(std::make_shared<comp::Grib2Codec>(d, fill), chunk_elems);
-    const comp::Codec& codec = *codec_ptr;
     ++tuning.attempts;
     trace::counter_add("grib.tune_attempts", 1);
-    bool all_pass = true;
-    if (Scheduler::global().thread_count() <= 1) {
-      // Serial: keep the early break — a failed member skips the rest.
-      for (std::size_t m : test_members) {
-        const MemberEvaluation eval = verifier.evaluate_member(codec, m);
-        if (!(eval.rho_pass && eval.rmsz_pass && eval.enmax_pass)) {
-          all_pass = false;
-          break;
-        }
+    // The attempt passes iff every member passes, so skipping the members
+    // not yet started after a failure saves work without changing it.
+    std::atomic<bool> failed{false};
+    parallel_for(0, test_members.size(), [&](std::size_t i) {
+      if (failed.load(std::memory_order_relaxed)) return;
+      const MemberEvaluation eval = verifier.evaluate_member(*codec, test_members[i]);
+      if (!(eval.rho_pass && eval.rmsz_pass && eval.enmax_pass)) {
+        failed.store(true, std::memory_order_relaxed);
       }
-    } else {
-      // Parallel: evaluate every member (each is an independent
-      // compress + score) and AND the flags. The early break only skips
-      // work, never changes the verdict, so both paths agree exactly.
-      std::vector<std::uint8_t> pass(test_members.size(), 0);
-      parallel_for(0, test_members.size(), [&](std::size_t i) {
-        const MemberEvaluation eval =
-            verifier.evaluate_member(codec, test_members[i]);
-        pass[i] = (eval.rho_pass && eval.rmsz_pass && eval.enmax_pass) ? 1 : 0;
-      });
-      all_pass = std::all_of(pass.begin(), pass.end(),
-                             [](std::uint8_t p) { return p != 0; });
-    }
-    if (all_pass) {
+    });
+    if (!failed.load()) {
       tuning.decimal_scale = d;
       tuning.passed = true;
       return tuning;
@@ -73,6 +56,17 @@ GribTuning rmsz_guided_decimal_scale(const EnsembleStats& stats,
   tuning.decimal_scale = std::min(30, d0 + max_extra_digits);
   tuning.passed = false;
   return tuning;
+}
+
+GribTuning rmsz_guided_decimal_scale(const EnsembleStats& stats,
+                                     std::optional<float> fill,
+                                     std::span<const std::size_t> test_members,
+                                     const PvtThresholds& thresholds,
+                                     int significant_digits, int max_extra_digits,
+                                     std::size_t chunk_elems, comp::PlanStore* plans) {
+  return rmsz_guided_decimal_scale(ResidentMembers(stats), fill, test_members, thresholds,
+                                   significant_digits, max_extra_digits, chunk_elems,
+                                   plans);
 }
 
 }  // namespace cesm::core

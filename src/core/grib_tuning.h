@@ -20,16 +20,25 @@ struct GribTuning {
   int attempts = 0;        ///< D values tried
 };
 
-/// Tune D for the variable held by `stats`. `fill` is forwarded to the
-/// codec's native bitmap support. The probe uses the first entry of
-/// `test_members` (tests 1–3 only; the bias sweep stays with the caller).
-/// Nonzero `chunk_elems` measures every attempt through a ChunkedCodec
-/// with that partition (see SuiteConfig::chunk_elems). `plans`, when
-/// non-null, shares each member's bitmap/min-max scan across the whole
-/// candidate ladder and leaves the winning scale's wavelet lift cached
-/// for the suite's GRIB2 variant verify (see prep.h); only usable with
-/// chunk_elems == 0 — the chunked wrapper is unplannable and plans are
-/// keyed per whole member here.
+/// Tune D for the variable `source` serves. `fill` is forwarded to the
+/// codec's native bitmap support. The magnitude heuristic reads the first
+/// entry of `test_members`; an attempt passes when every test member
+/// passes tests 1–3 (the bias sweep stays with the caller). Members are
+/// evaluated in parallel, and once one fails the members not yet started
+/// are skipped — the verdict, and so the result, is the same at any
+/// worker count. Nonzero `chunk_elems` measures every attempt through a
+/// ChunkedCodec with that partition (see SuiteConfig::chunk_elems).
+/// `plans`, when non-null, shares each member's bitmap/min-max scan across
+/// the whole candidate ladder and leaves the winning scale's wavelet lift
+/// cached for the suite's GRIB2 variant verify (see prep.h).
+GribTuning rmsz_guided_decimal_scale(const MemberSource& source,
+                                     std::optional<float> fill,
+                                     std::span<const std::size_t> test_members,
+                                     const PvtThresholds& thresholds,
+                                     int significant_digits, int max_extra_digits,
+                                     std::size_t chunk_elems, comp::PlanStore* plans);
+
+/// The same ladder over members resident in `stats`.
 GribTuning rmsz_guided_decimal_scale(const EnsembleStats& stats,
                                      std::optional<float> fill,
                                      std::span<const std::size_t> test_members,

@@ -5,26 +5,19 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <thread>
-#include <utility>
 
 #include "compress/chunked.h"
 #include "compress/deflate/deflate.h"
-#include "compress/fpz/fpz.h"
-#include "compress/grib2/grib2.h"
-#include "compress/variants.h"
-#include "core/bias.h"
 #include "core/ensemble_cache.h"
-#include "stats/correlation.h"
 #include "util/cache.h"
 #include "util/error.h"
-#include "util/failpoint.h"
 #include "util/rng.h"
 #include "util/scheduler.h"
 #include "util/trace.h"
@@ -34,6 +27,12 @@ namespace cesm::core {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Byte cap of the per-variable encode-prep plan cache (compress/prep.h),
+/// keyed per (member, chunk). Deliberately small: plans are charged to the
+/// variable's own MemoryBudget and one that does not fit is simply not
+/// cached, so the CESM_MEM_MB guarantee is unaffected.
+constexpr std::size_t kPlanCacheBytes = 4ull << 20;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -397,282 +396,70 @@ SpillSession::~SpillSession() {
 
 namespace {
 
-/// Everything one member round-trip needs; the streaming analogue of the
-/// (PvtVerifier, codec) pair the in-core leg passes around.
-struct StreamContext {
-  const ncio::ChunkStoreReader& store;
-  const StreamingStats& stats;
-  const comp::ChunkedCodec& chunked;
-  std::size_t max_chunk;
-  const PvtThresholds& thresholds;
-  /// Shared encode-prep plan store (prep.h); null = direct encodes. Plans
-  /// are keyed per (member, chunk) so every variant of a family reuses the
-  /// chunk's variant-invariant stage. Streams stay byte-identical.
-  comp::PlanStore* plans = nullptr;
+/// Members staged in a CNK1 chunk store, scored against their streamed
+/// statistics. A round trip walks the member's chunks double-buffered,
+/// encodes each through the wrapped ChunkedCodec's inner codec (plans keyed
+/// per (member, chunk), so every variant of a family reuses the chunk's
+/// variant-invariant stage), and sizes the CR with packed_stream_bytes —
+/// the byte count of the in-core chunked container for the same partition.
+class SpilledMembers final : public MemberSource {
+ public:
+  SpilledMembers(const ncio::ChunkStoreReader& store, const StreamingStats& stats)
+      : MemberSource(stats),
+        store_(store),
+        stats_(stats),
+        max_chunk_(max_chunk_elems(store.chunk_offsets())),
+        buffers_(3 * max_chunk_) {}
 
-  /// Encode one chunk of one member through the wrapped variant's inner
-  /// codec, plan-driven when a store is attached.
-  [[nodiscard]] Bytes encode_chunk(const comp::Codec& inner, std::span<const float> x,
-                                   const comp::Shape& cs, std::size_t member,
-                                   std::size_t c) const {
-    if (plans == nullptr) return inner.encode(x, cs);
-    return plans->encode(inner, x, cs,
-                         static_cast<std::uint64_t>(member) * store.chunk_count() + c);
+  [[nodiscard]] std::string variable() const override { return store_.variable(); }
+  [[nodiscard]] stats::Summary member_summary(std::size_t m) const override {
+    return stats_.member_summary(m);
   }
-};
-
-/// Tests 1–3 for one member, chunk-at-a-time: encode + decode each chunk
-/// through the wrapped variant's inner codec, feed the §4.2 error streams
-/// and the z-score stream, then finalize through the exact helpers the
-/// in-core evaluate_member uses. The CR is sized via packed_stream_bytes,
-/// which reproduces the in-core chunked container byte count exactly.
-MemberEvaluation evaluate_member_streaming(const StreamContext& ctx,
-                                           std::size_t member) {
-  CESM_REQUIRE(member < ctx.stats.member_count());
-  const comp::Shape& shape = ctx.store.shape();
-  const std::vector<std::size_t>& offsets = ctx.store.chunk_offsets();
-  const bool masked = !ctx.stats.mask().empty();
-  const comp::Codec& inner = *ctx.chunked.inner();
-
-  std::vector<float> b0(ctx.max_chunk);
-  std::vector<float> b1(ctx.max_chunk);
-  std::vector<float> recon(ctx.max_chunk);
-  std::vector<std::size_t> sizes(ctx.store.chunk_count());
-
-  stats::kernels::ErrorNormStream err(masked);
-  stats::kernels::CoMomentStream co(masked);
-  stats::kernels::ZScoreStream zs(static_cast<double>(ctx.stats.member_count()),
-                                  kDegenerateSpreadRelTol, masked);
-  walk_member_chunks(
-      ctx.store, static_cast<std::uint32_t>(member), b0, b1,
-      [&](std::size_t c, std::span<const float> x) {
-        const comp::Shape cs = ctx.chunked.chunk_shape(shape, offsets[c], offsets[c + 1]);
-        const Bytes stream = ctx.encode_chunk(inner, x, cs, member, c);
-        sizes[c] = stream.size();
-        const std::span<float> out(recon.data(), x.size());
-        inner.decode_into(stream, out);
-        const std::span<const std::uint8_t> mask_slice =
-            masked ? ctx.stats.mask().subspan(offsets[c], x.size())
-                   : std::span<const std::uint8_t>{};
-        err.feed(x, out, mask_slice);
-        co.feed(x, out, mask_slice);
-        zs.feed(out, x, ctx.stats.sum().subspan(offsets[c], x.size()),
-                ctx.stats.sum_sq().subspan(offsets[c], x.size()), mask_slice);
-      });
-  trace::counter_add("pvt.member_roundtrips", 1);
-
-  const double cr = comp::compression_ratio(
-      ctx.chunked.packed_stream_bytes(shape, sizes), ctx.store.total_elems());
-  const stats::Summary& s = ctx.stats.member_summary(member);
-  const double range = s.range();
-  const double peak = std::max(std::fabs(s.min), std::fabs(s.max));
-  const ErrorMetrics metrics = error_metrics_from(
-      err.finish(), range, peak, stats::pearson_from_accum(co.finish()));
-  return finish_member_evaluation(member, cr, metrics, ctx.stats.rmsz(member),
-                                  rmsz_from_accum(zs.finish()), ctx.stats.rmsz_range(),
-                                  ctx.stats.enmax_range(), ctx.thresholds);
-}
-
-/// The bias sweep's per-member score: the same walk minus the error
-/// metrics (only the reconstructed RMSZ is needed).
-double reconstructed_rmsz_streaming(const StreamContext& ctx, std::size_t member) {
-  const comp::Shape& shape = ctx.store.shape();
-  const std::vector<std::size_t>& offsets = ctx.store.chunk_offsets();
-  const bool masked = !ctx.stats.mask().empty();
-  const comp::Codec& inner = *ctx.chunked.inner();
-
-  std::vector<float> b0(ctx.max_chunk);
-  std::vector<float> b1(ctx.max_chunk);
-  std::vector<float> recon(ctx.max_chunk);
-  stats::kernels::ZScoreStream zs(static_cast<double>(ctx.stats.member_count()),
-                                  kDegenerateSpreadRelTol, masked);
-  walk_member_chunks(
-      ctx.store, static_cast<std::uint32_t>(member), b0, b1,
-      [&](std::size_t c, std::span<const float> x) {
-        const comp::Shape cs = ctx.chunked.chunk_shape(shape, offsets[c], offsets[c + 1]);
-        const Bytes stream = ctx.encode_chunk(inner, x, cs, member, c);
-        const std::span<float> out(recon.data(), x.size());
-        inner.decode_into(stream, out);
-        const std::span<const std::uint8_t> mask_slice =
-            masked ? ctx.stats.mask().subspan(offsets[c], x.size())
-                   : std::span<const std::uint8_t>{};
-        zs.feed(out, x, ctx.stats.sum().subspan(offsets[c], x.size()),
-                ctx.stats.sum_sq().subspan(offsets[c], x.size()), mask_slice);
-      });
-  trace::counter_add("pvt.member_roundtrips", 1);
-  return rmsz_from_accum(zs.finish());
-}
-
-/// Streaming verify(): tests 1–3 on the test members (parallel, one slot
-/// each), fold, then the bias sweep over all members — seeding the test
-/// members' already-computed scores exactly as the in-core sweep does.
-VariableVerdict verify_streaming(const StreamContext& ctx,
-                                 std::span<const std::size_t> test_members,
-                                 bool run_bias, double bias_confidence) {
-  CESM_REQUIRE(!test_members.empty());
-  trace::Span span("ooc.verify_variant");
-  VariableVerdict verdict;
-  verdict.variable = ctx.store.variable();
-  verdict.codec = ctx.chunked.name();
-
-  verdict.members.resize(test_members.size());
-  parallel_for(0, test_members.size(), [&](std::size_t i) {
-    verdict.members[i] = evaluate_member_streaming(ctx, test_members[i]);
-  });
-  fold_member_flags(verdict);
-
-  if (run_bias) {
-    const std::size_t m_count = ctx.stats.member_count();
-    std::vector<double> scores(m_count);
-    std::vector<std::uint8_t> seeded(m_count, 0);
-    std::uint64_t reused = 0;
-    for (const MemberEvaluation& eval : verdict.members) {
-      if (eval.member < m_count && seeded[eval.member] == 0) {
-        scores[eval.member] = eval.rmsz_reconstructed;
-        seeded[eval.member] = 1;
-        ++reused;
-      }
-    }
-    trace::counter_add("pvt.bias_reused", reused);
-    std::vector<std::size_t> pending;
-    pending.reserve(m_count);
-    for (std::size_t m = 0; m < m_count; ++m) {
-      if (seeded[m] == 0) pending.push_back(m);
-    }
-    parallel_for(0, pending.size(), [&](std::size_t i) {
-      scores[pending[i]] = reconstructed_rmsz_streaming(ctx, pending[i]);
-    });
-    verdict.bias = bias_test(ctx.stats.rmsz_distribution(), scores, bias_confidence);
-    verdict.bias_pass = verdict.bias.pass;
-    verdict.bias_evaluated = true;
-  } else {
-    verdict.bias_pass = true;  // not evaluated: do not veto
+  double round_trip(const comp::Codec& codec, std::size_t m, comp::PlanStore* plans,
+                    const ChunkVisitor& visit) const override {
+    return walk(codec, m, plans, &visit);
   }
-  return verdict;
-}
-
-/// Record a codec-error verdict for a streaming variant whose verify
-/// threw `message`, re-scored under the same lossless stand-in as the
-/// in-core leg when the fallback policy is on.
-VariableVerdict codec_error_verdict_streaming(const ncio::ChunkStoreReader& store,
-                                              const StreamingStats& stats,
-                                              const comp::ChunkedCodec& chunked,
-                                              std::size_t max_chunk,
-                                              std::span<const std::size_t> test_members,
-                                              const OocConfig& config,
-                                              comp::PlanStore* plans,
-                                              const std::string& message) {
-  const SuiteConfig& suite = config.suite;
-  trace::counter_add("suite.codec_errors", 1);
-  VariableVerdict verdict;
-  verdict.variable = store.variable();
-  verdict.codec = chunked.name();
-  verdict.codec_error = true;
-  verdict.error_message = message;
-  if (suite.lossless_fallback) {
-    const comp::CodecPtr stand_in =
-        lossless_stand_in(chunked.name(), store.fill(), config.chunk_elems);
-    const auto* stand_in_chunked =
-        dynamic_cast<const comp::ChunkedCodec*>(stand_in.get());
-    CESM_REQUIRE(stand_in_chunked != nullptr);
-    const StreamContext fallback_ctx{store,     stats,             *stand_in_chunked,
-                                     max_chunk, suite.thresholds, plans};
-    try {
-      VariableVerdict lossless =
-          verify_streaming(fallback_ctx, test_members, suite.run_bias,
-                           suite.thresholds.bias_confidence);
-      // Informational only: the variant's pass flags stay false — what
-      // we are certifying is the lossy method (see suite.cpp).
-      verdict.members = std::move(lossless.members);
-      verdict.mean_cr = lossless.mean_cr;
-      verdict.bias = lossless.bias;
-      verdict.bias_evaluated = lossless.bias_evaluated;
-      verdict.fallback_codec = stand_in->name();
-      trace::counter_add("suite.lossless_fallbacks", 1);
-    } catch (const Error&) {
-      // The stand-in failed too: keep the bare codec-error verdict.
-    }
+  [[nodiscard]] double encoded_cr(const comp::Codec& codec, std::size_t m,
+                                  comp::PlanStore* plans) const override {
+    return walk(codec, m, plans, nullptr);
   }
-  return verdict;
-}
 
-/// Mirror of the in-core verify_with_fallback: a thrown cesm::Error
-/// becomes a codec-error verdict (never a pass). Non-null `injected` is an
-/// error raised by the caller's catalog-order failpoint pre-pass (see
-/// suite.cpp): the verify is skipped and the codec-error path runs.
-VariableVerdict verify_with_fallback_streaming(const ncio::ChunkStoreReader& store,
-                                               const StreamingStats& stats,
-                                               const comp::ChunkedCodec& chunked,
-                                               std::size_t max_chunk,
-                                               std::span<const std::size_t> test_members,
-                                               const OocConfig& config,
-                                               comp::PlanStore* plans,
-                                               const std::string* injected = nullptr) {
-  const SuiteConfig& suite = config.suite;
-  if (injected != nullptr) {
-    return codec_error_verdict_streaming(store, stats, chunked, max_chunk, test_members,
-                                         config, plans, *injected);
-  }
-  const StreamContext ctx{store, stats, chunked, max_chunk, suite.thresholds, plans};
-  try {
-    return verify_streaming(ctx, test_members, suite.run_bias,
-                            suite.thresholds.bias_confidence);
-  } catch (const InvalidArgument&) {
-    throw;  // caller bug, not a codec failure: keep the old contract
-  } catch (const Error& e) {
-    return codec_error_verdict_streaming(store, stats, chunked, max_chunk, test_members,
-                                         config, plans, e.what());
-  }
-}
-
-/// Streaming twin of rmsz_guided_decimal_scale: same d0 heuristic, same
-/// ladder, same early-break semantics (serial per attempt — an attempt is
-/// already parallel across its test members' chunk walks).
-GribTuning tune_decimal_scale_streaming(const ncio::ChunkStoreReader& store,
-                                        const StreamingStats& stats,
-                                        std::size_t max_chunk,
-                                        std::span<const std::size_t> test_members,
-                                        const OocConfig& config,
-                                        comp::PlanStore* plans) {
-  CESM_REQUIRE(!test_members.empty());
-  trace::Span span("grib.tune");
-  const SuiteConfig& suite = config.suite;
-  const stats::Summary& summary = stats.member_summary(test_members.front());
-  const int d0 = comp::choose_decimal_scale(summary.min, summary.max,
-                                            suite.grib_significant_digits);
-
-  GribTuning tuning;
-  tuning.decimal_scale = d0;
-  for (int extra = 0; extra <= suite.grib_max_extra_digits; ++extra) {
-    const int d = std::min(30, d0 + extra);
-    const comp::CodecPtr codec = with_chunking(
-        std::make_shared<comp::Grib2Codec>(d, store.fill()), config.chunk_elems);
-    const auto* chunked = dynamic_cast<const comp::ChunkedCodec*>(codec.get());
+ private:
+  /// Encode member m chunk by chunk; with a visitor, also decode each
+  /// chunk and hand it the pair. Returns the whole member's CR.
+  double walk(const comp::Codec& codec, std::size_t m, comp::PlanStore* plans,
+              const ChunkVisitor* visit) const {
+    CESM_REQUIRE(m < member_count());
+    const auto* chunked = dynamic_cast<const comp::ChunkedCodec*>(&codec);
     CESM_REQUIRE(chunked != nullptr);
-    const StreamContext ctx{store, stats, *chunked, max_chunk, suite.thresholds, plans};
-    ++tuning.attempts;
-    trace::counter_add("grib.tune_attempts", 1);
-    // Serial with early break: the break only skips work, never changes
-    // the verdict, so this agrees exactly with the in-core parallel path.
-    bool all_pass = true;
-    for (const std::size_t m : test_members) {
-      const MemberEvaluation eval = evaluate_member_streaming(ctx, m);
-      if (!(eval.rho_pass && eval.rmsz_pass && eval.enmax_pass)) {
-        all_pass = false;
-        break;
+    const comp::Codec& inner = *chunked->inner();
+    const std::vector<std::size_t>& offsets = store_.chunk_offsets();
+    std::vector<std::size_t> sizes(store_.chunk_count());
+    BufferPool::Lease lease(buffers_);
+    const std::span<float> buf = lease.span();
+    const std::uint64_t first_block = static_cast<std::uint64_t>(m) * store_.chunk_count();
+    const auto process = [&](std::size_t c, std::span<const float> x) {
+      const comp::Shape cs = chunked->chunk_shape(store_.shape(), offsets[c], offsets[c + 1]);
+      const Bytes stream = plans != nullptr ? plans->encode(inner, x, cs, first_block + c)
+                                            : inner.encode(x, cs);
+      sizes[c] = stream.size();
+      if (visit != nullptr) {
+        const std::span<float> out = buf.subspan(2 * max_chunk_, x.size());
+        inner.decode_into(stream, out);
+        (*visit)(offsets[c], x, out);
       }
-    }
-    if (all_pass) {
-      tuning.decimal_scale = d;
-      tuning.passed = true;
-      return tuning;
-    }
-    if (d == 30) break;
+    };
+    walk_member_chunks(store_, static_cast<std::uint32_t>(m), buf.first(max_chunk_),
+                       buf.subspan(max_chunk_, max_chunk_), process);
+    return comp::compression_ratio(chunked->packed_stream_bytes(store_.shape(), sizes),
+                                   store_.total_elems());
   }
-  tuning.decimal_scale = std::min(30, d0 + suite.grib_max_extra_digits);
-  tuning.passed = false;
-  return tuning;
-}
+
+  const ncio::ChunkStoreReader& store_;
+  const StreamingStats& stats_;
+  std::size_t max_chunk_;
+  mutable BufferPool buffers_;  ///< two walk buffers + one reconstruction
+};
 
 /// Deletes a reused spill file when the scope unwinds with an exception:
 /// bytes that failed a run are never trusted by the next one. (POSIX
@@ -690,11 +477,12 @@ struct ReusedSpillInvalidator {
   }
 };
 
-/// Per-chunk working set of one member round-trip: the two walk buffers,
-/// the reconstruction slab, and a transient-encode allowance of one more
-/// chunk (codec streams of roughly chunk size).
-std::uint64_t roundtrip_bytes_per_lane(std::size_t max_chunk) {
-  return static_cast<std::uint64_t>(4) * max_chunk * sizeof(float);
+/// Verify-phase buffer allowance: per concurrent round trip
+/// (buffer_lanes()), the two walk buffers, the reconstruction slab, and a
+/// transient-encode allowance of one more chunk (codec streams of roughly
+/// chunk size).
+std::uint64_t verify_buffer_bytes(std::size_t max_chunk) {
+  return static_cast<std::uint64_t>(buffer_lanes()) * 4 * max_chunk * sizeof(float);
 }
 
 }  // namespace
@@ -712,10 +500,7 @@ std::uint64_t ooc_working_set_bytes(const climate::EnsembleGenerator& ensemble,
   const std::uint64_t member_stats =
       static_cast<std::uint64_t>(ensemble.members()) *
       (sizeof(stats::Summary) + 4 * sizeof(double));
-  const std::uint64_t lane_buffers =
-      static_cast<std::uint64_t>(buffer_lanes()) *
-      roundtrip_bytes_per_lane(layout.max_chunk);
-  return point_stats + member_stats + lane_buffers;
+  return point_stats + member_stats + verify_buffer_bytes(layout.max_chunk);
 }
 
 VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble,
@@ -723,13 +508,7 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
                                       const OocConfig& config, OocPhaseStats* phases,
                                       util::MemoryBudget* shared) {
   trace::Span span("ooc.variable");
-  trace::counter_add("suite.variables", 1);
-  const SuiteConfig& suite = config.suite;
-  if (suite.test_member_count == 0) {
-    throw InvalidArgument("SuiteConfig::test_member_count must be >= 1 (variable " +
-                          spec.name + ")");
-  }
-  CESM_FAILPOINT("suite.variable");
+  VariableResult result = begin_variable(spec, config.suite);
 
   // Admission: against a shared suite budget the variable acquires its
   // whole working set as one all-or-nothing reservation (parking under
@@ -745,11 +524,6 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
                                 ? (shared->cap_bytes() != 0 ? admission->bytes() : 0)
                                 : config.memory_budget_bytes);
 
-  VariableResult result;
-  result.variable = spec.name;
-  result.is_3d = spec.is_3d;
-  if (spec.has_fill) result.fill = climate::kFillValue;
-
   // Phase 1: synthesis -> CNK1 spill store, or content-addressed reuse of
   // a previous run's spill. A reuse candidate is only trusted after its
   // header and checksum table validate; anything less is deleted, counted
@@ -757,17 +531,15 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
   const Clock::time_point t_stage = Clock::now();
   std::string path;
   std::optional<SpillSession> session;
-  if (config.reuse_spill) {
+  std::optional<ncio::ChunkStoreReader> store_slot;
+  bool reused = false;
+  if (!config.reuse_spill) {
+    session.emplace(config.spill_dir, config.keep_spill);
+    path = (std::filesystem::path(session->dir()) / (spec.name + ".cnk1")).string();
+  } else {
     std::filesystem::create_directories(config.spill_dir);
     path = spill_path(config.spill_dir, spec.name,
                       spill_key(ensemble.spec(), spec, config.chunk_elems));
-  } else {
-    session.emplace(config.spill_dir, config.keep_spill);
-    path = (std::filesystem::path(session->dir()) / (spec.name + ".cnk1")).string();
-  }
-  std::optional<ncio::ChunkStoreReader> store_slot;
-  bool reused = false;
-  if (config.reuse_spill) {
     std::error_code ec;
     if (std::filesystem::exists(path, ec)) {
       try {
@@ -807,93 +579,19 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
 
   // Phase 3: tuning + verdicts, chunk-at-a-time round-trips throughout.
   const Clock::time_point t_verify = Clock::now();
-  const std::size_t max_chunk = max_chunk_elems(store.chunk_offsets());
   const std::uint64_t verify_bytes =
-      static_cast<std::uint64_t>(buffer_lanes()) * roundtrip_bytes_per_lane(max_chunk);
+      verify_buffer_bytes(max_chunk_elems(store.chunk_offsets()));
   budget.charge("ooc.verify_buffers", verify_bytes);
 
-  result.test_members =
-      PvtVerifier::pick_members(suite.test_member_count, stats.member_count(),
-                                hash_combine(suite.member_seed, spec.stream));
-  const std::size_t probe = result.test_members.front();
-
-  // Shared encode-prep plans for the verify phase, keyed per (member,
-  // chunk). Cached plans charge the variable's own budget; one that does
-  // not fit is silently not cached, so the CESM_MEM_MB cap is never at
-  // risk. Declared after `budget` so its charges release first.
-  comp::PlanStore plans(config.plan_cache_bytes, &budget);
-
-  // Characterization + lossless baselines: summaries come from the pass-2
-  // member moments; the CRs from chunk-at-a-time encodes sized through
-  // packed_stream_bytes — byte-identical to the in-core chunked streams.
-  const auto streamed_cr = [&](const comp::CodecPtr& codec) {
-    const auto* chunked = dynamic_cast<const comp::ChunkedCodec*>(codec.get());
-    CESM_REQUIRE(chunked != nullptr);
-    const comp::Codec& inner = *chunked->inner();
-    std::vector<float> b0(max_chunk);
-    std::vector<float> b1(max_chunk);
-    std::vector<std::size_t> sizes(store.chunk_count());
-    const std::vector<std::size_t>& offsets = store.chunk_offsets();
-    walk_member_chunks(
-        store, static_cast<std::uint32_t>(probe), b0, b1,
-        [&](std::size_t c, std::span<const float> x) {
-          const comp::Shape cs =
-              chunked->chunk_shape(store.shape(), offsets[c], offsets[c + 1]);
-          sizes[c] = plans
-                         .encode(inner, x, cs,
-                                 static_cast<std::uint64_t>(probe) * store.chunk_count() + c)
-                         .size();
-        });
-    return comp::compression_ratio(chunked->packed_stream_bytes(store.shape(), sizes),
-                                   store.total_elems());
-  };
-  result.character.summary = stats.member_summary(probe);
-  result.character.lossless_cr = streamed_cr(
-      with_chunking(std::make_shared<comp::DeflateCodec>(), config.chunk_elems));
-  result.netcdf4_cr = result.character.lossless_cr;
-  result.fpzip32_cr = streamed_cr(
-      with_chunking(std::make_shared<comp::FpzCodec>(32), config.chunk_elems));
-
-  const GribTuning tuning = tune_decimal_scale_streaming(
-      store, stats, max_chunk, result.test_members, config, &plans);
-  result.grib_decimal_scale = tuning.decimal_scale;
-  result.grib_tuning_passed = tuning.passed;
-
-  const std::vector<comp::CodecPtr> variants =
-      comp::paper_variants(result.grib_decimal_scale, result.fill);
-
-  // Failpoint pre-pass in catalog order — same rationale as run_variable
-  // (suite.cpp): injected-fault attribution is independent of
-  // variant_jobs and worker count.
-  std::vector<std::string> injected(variants.size());
-  std::vector<std::uint8_t> has_injection(variants.size(), 0);
-  for (std::size_t v = 0; v < variants.size(); ++v) {
-    try {
-      CESM_FAILPOINT("suite.verify_variant");
-    } catch (const Error& e) {
-      has_injection[v] = 1;
-      injected[v] = e.what();
-    }
-  }
-
-  result.verdicts.resize(variants.size());
-  const auto verify_one = [&](std::size_t v) {
-    trace::counter_add("sweep.variant_tasks", 1);
-    const comp::CodecPtr wrapped = with_chunking(variants[v], config.chunk_elems);
-    const auto* chunked = dynamic_cast<const comp::ChunkedCodec*>(wrapped.get());
-    CESM_REQUIRE(chunked != nullptr);
-    result.verdicts[v] = verify_with_fallback_streaming(
-        store, stats, *chunked, max_chunk, result.test_members, config, &plans,
-        has_injection[v] != 0 ? &injected[v] : nullptr);
-  };
-  const std::size_t grain = variant_grain(suite.variant_jobs, variants.size());
-  if (grain >= variants.size()) {
-    for (std::size_t v = 0; v < variants.size(); ++v) verify_one(v);
-  } else {
-    // Verdict slots are fixed, so the CSV is byte-identical to the serial
-    // sweep; each chunk walk allocates its own lane buffers, already
-    // covered by the buffer_lanes()-wide verify_bytes charge above.
-    parallel_for(0, variants.size(), verify_one, grain);
+  {
+    // Shared encode-prep plans, keyed per (member, chunk). Cached plans
+    // charge the variable's own budget; one that does not fit is simply
+    // not cached, so the CESM_MEM_MB cap is never at risk.
+    comp::PlanStore plans(kPlanCacheBytes, &budget);
+    const SpilledMembers source(store, stats);
+    SuiteConfig suite = config.suite;
+    suite.chunk_elems = config.chunk_elems;
+    verify_variable(source, spec, suite, plans, nullptr, result);
   }
   budget.release(verify_bytes);
 
@@ -922,39 +620,6 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
   return result;
 }
 
-namespace {
-
-/// Streaming twin of run_variable_guarded: retry one-shot faults, then
-/// contain the failure as a processing_failed marker.
-VariableResult run_variable_streaming_guarded(const climate::EnsembleGenerator& ensemble,
-                                              const climate::VariableSpec& spec,
-                                              const OocConfig& config,
-                                              util::MemoryBudget* shared = nullptr) {
-  std::size_t failures = 0;
-  for (;;) {
-    try {
-      return run_variable_streaming(ensemble, spec, config, nullptr, shared);
-    } catch (const InvalidArgument&) {
-      throw;  // caller bug: retrying cannot help and hiding it would lie
-    } catch (const Error& e) {
-      if (failures++ < config.suite.variable_retry_limit) {
-        trace::counter_add("suite.variable_retries", 1);
-        continue;
-      }
-      if (!config.suite.continue_on_variable_error) throw;
-      trace::counter_add("suite.variable_failures", 1);
-      VariableResult failed;
-      failed.variable = spec.name;
-      failed.is_3d = spec.is_3d;
-      failed.processing_failed = true;
-      failed.error_message = e.what();
-      return failed;
-    }
-  }
-}
-
-}  // namespace
-
 SuiteResults run_suite_streaming(const climate::EnsembleGenerator& ensemble,
                                  const OocConfig& config,
                                  std::vector<std::string> variables) {
@@ -971,6 +636,12 @@ SuiteResults run_suite_streaming(const climate::EnsembleGenerator& ensemble,
   util::MemoryBudget& shared =
       config.shared_budget != nullptr ? *config.shared_budget : own_budget;
 
+  const auto run_guarded = [&](const climate::VariableSpec& spec) {
+    return run_variable_guarded(spec, config.suite, [&] {
+      return run_variable_streaming(ensemble, spec, config, nullptr, &shared);
+    });
+  };
+
   std::size_t jobs = config.parallel_variables == 0
                          ? Scheduler::global().thread_count()
                          : config.parallel_variables;
@@ -980,11 +651,28 @@ SuiteResults run_suite_streaming(const climate::EnsembleGenerator& ensemble,
   // the atomic cursor only decides who computes what, never where it
   // lands or what it contains.
   results.variables.resize(specs.size());
-  if (jobs == 1) {
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      results.variables[i] =
-          run_variable_streaming_guarded(ensemble, *specs[i], config, &shared);
+  std::atomic<std::size_t> cursor{0};
+  std::mutex error_mu;
+  std::exception_ptr first_error;  // guarded by error_mu
+  const auto drain = [&] {
+    for (;;) {
+      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (i >= specs.size()) return;
+      try {
+        results.variables[i] = run_guarded(*specs[i]);
+      } catch (...) {
+        {
+          std::lock_guard<std::mutex> lock(error_mu);
+          if (!first_error) first_error = std::current_exception();
+        }
+        // Stop dispatching new variables; in-flight ones finish.
+        cursor.store(specs.size(), std::memory_order_relaxed);
+        return;
+      }
     }
+  };
+  if (jobs == 1) {
+    drain();
   } else {
     // Variable jobs live on dedicated admission threads, NOT on scheduler
     // workers: a parked reservation must never occupy a worker the
@@ -993,34 +681,12 @@ SuiteResults run_suite_streaming(const climate::EnsembleGenerator& ensemble,
     // lands on the global work-stealing scheduler — external threads
     // help-execute their own joins, so admission threads add concurrency
     // without oversubscribing the worker pool.
-    std::atomic<std::size_t> cursor{0};
-    std::mutex error_mu;
-    std::exception_ptr first_error;
     std::vector<std::thread> admission;
     admission.reserve(jobs);
-    for (std::size_t j = 0; j < jobs; ++j) {
-      admission.emplace_back([&] {
-        for (;;) {
-          const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-          if (i >= specs.size()) return;
-          try {
-            results.variables[i] =
-                run_variable_streaming_guarded(ensemble, *specs[i], config, &shared);
-          } catch (...) {
-            {
-              std::lock_guard<std::mutex> lock(error_mu);
-              if (!first_error) first_error = std::current_exception();
-            }
-            // Stop dispatching new variables; in-flight ones finish.
-            cursor.store(specs.size(), std::memory_order_relaxed);
-            return;
-          }
-        }
-      });
-    }
+    for (std::size_t j = 0; j < jobs; ++j) admission.emplace_back(drain);
     for (std::thread& t : admission) t.join();
-    if (first_error) std::rethrow_exception(first_error);
   }
+  if (first_error) std::rethrow_exception(first_error);
   if (const std::size_t failed = results.failed_variable_count(); failed > 0) {
     trace::counter_add("suite.variables_failed_total", failed);
   }

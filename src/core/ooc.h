@@ -12,17 +12,20 @@
 //      sufficient statistics EnsembleStats holds (per-point sum/sum², the
 //      leave-one-out extremes, the RMSZ and E_nmax distributions), minus
 //      the resident member fields;
-//   3. run_variable_streaming — codec verification round-trips each chunk
-//      through the wrapped variant's inner codec and feeds the stats
-//      streaming kernels (stats/kernels.h), with the next chunk read
-//      prefetched on the scheduler while the current one is processed.
+//   3. run_variable_streaming — the verification pipeline run_variable
+//      uses (core/suite.h, verify_variable), fed by a spilled
+//      MemberSource (core/member_source.h): each member round-trips chunk
+//      by chunk through the wrapped variant's inner codec, with the next
+//      chunk read prefetched on the scheduler while the current one is
+//      processed.
 //
-// Bitwise parity is by construction, not by tolerance: the streaming
-// kernels re-align chunk feeds to the one-shot kernels' block grid, the
-// chunk partition is the same ChunkedCodec partition an in-core run with
-// SuiteConfig::chunk_elems uses, and every finalization (Pearson, RMSZ,
-// error metrics, pass flags) goes through the same shared helpers. An
-// in-core run_variable with config.chunk_elems == OocConfig::chunk_elems
+// Bitwise parity is by construction, not by tolerance: tests 1–3, the
+// bias sweep, tuning and fallback are one implementation over either
+// member source; the pipeline scores chunk pairs with the streaming
+// kernels (stats/kernels.h), which re-align chunk feeds to the one-shot
+// kernels' block grid; and the chunk partition is the same ChunkedCodec
+// partition an in-core run with SuiteConfig::chunk_elems uses. An in-core
+// run_variable with config.chunk_elems == OocConfig::chunk_elems
 // therefore produces a bit-identical VariableResult — the property the
 // full-grid bench gate asserts.
 //
@@ -93,13 +96,6 @@ struct OocConfig {
   /// null the suite builds its own from memory_budget_bytes. Exposed so
   /// tests and benches can observe peak/waits across a run.
   util::MemoryBudget* shared_budget = nullptr;
-  /// Byte cap for the per-variable encode-prep plan cache (compress/prep.h)
-  /// of the streaming leg, keyed per (member, chunk). Deliberately small:
-  /// plans are charged to the variable's own MemoryBudget — one that does
-  /// not fit is simply not cached — so the CESM_MEM_MB guarantee is
-  /// unaffected. 0 disables plan sharing. (SuiteConfig::plan_cache_bytes
-  /// is the in-core knob and is ignored here.)
-  std::size_t plan_cache_bytes = 4ull << 20;
   /// Everything else (thresholds, member picks, bias policy, retries).
   /// `suite.chunk_elems` is ignored here: the streaming leg always uses
   /// OocConfig::chunk_elems.
@@ -160,8 +156,8 @@ struct OocPhaseStats {
 
 /// The EnsembleStats sufficient statistics, built from a chunk store in
 /// two bounded-memory read passes instead of from resident members.
-/// Accessors mirror EnsembleStats so the shared finalization helpers
-/// (finish_member_evaluation, rmsz_from_accum, ...) see identical inputs.
+/// Accessors mirror EnsembleStats, so a MemberSource over either exposes
+/// identical statistics to the verification pipeline.
 class StreamingStats {
  public:
   /// Builds from `store`. Pass 1 (parallel over chunks) derives the
@@ -226,10 +222,11 @@ std::string stage_variable(const climate::EnsembleGenerator& ensemble,
                            const climate::VariableSpec& spec, const std::string& dir,
                            std::size_t chunk_elems, util::MemoryBudget& budget);
 
-/// The streaming twin of run_variable: same seeds, same thresholds, same
-/// codecs (chunk-wrapped), bit-identical VariableResult to an in-core
-/// run with SuiteConfig::chunk_elems == config.chunk_elems — under a
-/// working set of chunks instead of members. `phases`, when non-null,
+/// run_variable over members staged in a spill store: stage, build the
+/// StreamingStats, then run the shared variable body (verify_variable) on
+/// the spilled source — a bit-identical VariableResult to an in-core run
+/// with SuiteConfig::chunk_elems == config.chunk_elems, under a working
+/// set of chunks instead of members. `phases`, when non-null,
 /// receives the phase breakdown.
 ///
 /// `shared`, when non-null, is a suite-level admission budget: the
@@ -245,9 +242,9 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
                                       OocPhaseStats* phases = nullptr,
                                       util::MemoryBudget* shared = nullptr);
 
-/// Streaming twin of run_suite: variables stream as concurrent jobs
-/// (config.parallel_variables) under one shared admission budget, with
-/// the same guarded retry/containment policy as run_suite. Results land
+/// run_suite over spilled members: variables stream as concurrent jobs
+/// (config.parallel_variables) under one shared admission budget, through
+/// the guarded retry run_suite uses (run_variable_guarded). Results land
 /// in catalog order regardless of job count — the CSV is byte-identical
 /// to a serial run.
 SuiteResults run_suite_streaming(const climate::EnsembleGenerator& ensemble,

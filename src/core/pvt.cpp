@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "stats/correlation.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/scheduler.h"
@@ -10,9 +11,12 @@
 
 namespace cesm::core {
 
-PvtVerifier::PvtVerifier(const EnsembleStats& stats, PvtThresholds thresholds)
-    : stats_(stats), thresholds_(thresholds) {}
+namespace {
 
+/// The scalar tail of a member evaluation: given the raw measurements (CR,
+/// §4.2 metrics, original and reconstructed RMSZ) and the ensemble's
+/// precomputed distribution extremes, derive the eq. (8)/(11) windows and
+/// the per-test pass flags.
 MemberEvaluation finish_member_evaluation(std::size_t member, double cr,
                                           const ErrorMetrics& metrics,
                                           double rmsz_original,
@@ -40,6 +44,8 @@ MemberEvaluation finish_member_evaluation(std::size_t member, double cr,
   return eval;
 }
 
+/// Fold `verdict.members` into the verdict's per-test pass flags and mean
+/// CR (serial, member order).
 void fold_member_flags(VariableVerdict& verdict) {
   verdict.rho_pass = verdict.rmsz_pass = verdict.enmax_pass = true;
   double cr_sum = 0.0;
@@ -52,41 +58,88 @@ void fold_member_flags(VariableVerdict& verdict) {
   verdict.mean_cr = cr_sum / static_cast<double>(verdict.members.size());
 }
 
+/// The mask slice of chunk [lo, lo + len), empty when every point is valid.
+std::span<const std::uint8_t> mask_slice(const MemberSource& source, std::size_t lo,
+                                         std::size_t len) {
+  return source.mask().empty() ? source.mask() : source.mask().subspan(lo, len);
+}
+
+/// Eq. (6) z-scores of reconstructed chunks against the sub-ensemble that
+/// excludes the original member.
+stats::kernels::ZScoreStream zscore_stream(const MemberSource& source) {
+  return stats::kernels::ZScoreStream(static_cast<double>(source.member_count()),
+                                      kDegenerateSpreadRelTol, !source.mask().empty());
+}
+
+void feed_zscores(stats::kernels::ZScoreStream& zs, const MemberSource& source,
+                  std::size_t lo, std::span<const float> original,
+                  std::span<const float> reconstructed) {
+  const std::size_t len = original.size();
+  zs.feed(reconstructed, original, source.sum().subspan(lo, len),
+          source.sum_sq().subspan(lo, len), mask_slice(source, lo, len));
+}
+
+}  // namespace
+
+PvtVerifier::PvtVerifier(const EnsembleStats& stats, PvtThresholds thresholds)
+    : owned_(std::make_unique<ResidentMembers>(stats)),
+      source_(owned_.get()),
+      thresholds_(thresholds) {}
+
+PvtVerifier::PvtVerifier(const MemberSource& source, PvtThresholds thresholds)
+    : source_(&source), thresholds_(thresholds) {}
+
 MemberEvaluation PvtVerifier::evaluate_member(const comp::Codec& codec,
                                               std::size_t member) const {
-  CESM_REQUIRE(member < stats_.member_count());
-  const climate::Field& original = stats_.member(member);
-
-  const comp::RoundTrip rt =
-      comp::planned_round_trip(plans_, codec, original.data, original.shape, member);
+  const MemberSource& src = *source_;
+  CESM_REQUIRE(member < src.member_count());
+  // Tests 1–3 from one round trip: the §4.2 error norms, the Pearson
+  // co-moments and the reconstruction's z-scores, fed chunk by chunk.
+  const bool masked = !src.mask().empty();
+  stats::kernels::ErrorNormStream err(masked);
+  stats::kernels::CoMomentStream co(masked);
+  stats::kernels::ZScoreStream zs = zscore_stream(src);
+  const double cr = src.round_trip(
+      codec, member, plans_,
+      [&](std::size_t lo, std::span<const float> x, std::span<const float> y) {
+        const std::span<const std::uint8_t> mask = mask_slice(src, lo, x.size());
+        err.feed(x, y, mask);
+        co.feed(x, y, mask);
+        feed_zscores(zs, src, lo, x, y);
+      });
   trace::counter_add("pvt.member_roundtrips", 1);
-  // Reuse the ensemble's shared validity mask (every member agrees on it
-  // by EnsembleStats' construction) instead of reallocating
-  // Field::valid_mask() for each of the variants x members evaluations.
-  const ErrorMetrics metrics =
-      compare_fields(original.data, rt.reconstructed, stats_.mask());
 
-  // Distribution extremes precomputed once at EnsembleStats build time;
-  // rescanning the distribution here would repeat an O(members) pass for
-  // every (variant, test member) evaluation.
-  return finish_member_evaluation(member, rt.cr, metrics, stats_.rmsz(member),
-                                  stats_.rmsz_of(member, rt.reconstructed),
-                                  stats_.rmsz_range(), stats_.enmax_range(),
-                                  thresholds_);
+  const stats::Summary s = src.member_summary(member);
+  const ErrorMetrics metrics =
+      error_metrics_from(err.finish(), s.range(), std::max(std::fabs(s.min), std::fabs(s.max)),
+                         stats::pearson_from_accum(co.finish()));
+  return finish_member_evaluation(member, cr, metrics, src.rmsz(member),
+                                  rmsz_from_accum(zs.finish()), src.rmsz_range(),
+                                  src.enmax_range(), thresholds_);
+}
+
+double PvtVerifier::reconstructed_rmsz_of(const comp::Codec& codec,
+                                          std::size_t member) const {
+  stats::kernels::ZScoreStream zs = zscore_stream(*source_);
+  (void)source_->round_trip(
+      codec, member, plans_,
+      [&](std::size_t lo, std::span<const float> x, std::span<const float> y) {
+        feed_zscores(zs, *source_, lo, x, y);
+      });
+  trace::counter_add("pvt.member_roundtrips", 1);
+  return rmsz_from_accum(zs.finish());
 }
 
 void PvtVerifier::reconstructed_rmsz_into(const comp::Codec& codec,
                                           std::span<double> scores,
                                           std::span<const MemberEvaluation> known) const {
   trace::Span span("pvt.bias_sweep");
-  const std::size_t m_count = stats_.member_count();
+  const std::size_t m_count = source_->member_count();
   CESM_REQUIRE(scores.size() == m_count);
 
   // Seed the scores the test-member evaluations already computed: the
   // codec is deterministic, so re-compressing member m would reproduce
-  // the identical reconstruction and the identical RMSZ. Before this
-  // every test member was round-tripped twice per variant (once in
-  // evaluate_member, once here).
+  // the identical reconstruction and the identical RMSZ.
   const std::span<std::uint8_t> seeded = scratch_.get<std::uint8_t>(1, m_count);
   std::fill(seeded.begin(), seeded.end(), std::uint8_t{0});
   std::uint64_t reused = 0;
@@ -104,34 +157,15 @@ void PvtVerifier::reconstructed_rmsz_into(const comp::Codec& codec,
   for (std::size_t m = 0; m < m_count; ++m) {
     if (seeded[m] == 0) pending[pending_count++] = m;
   }
-
-  // Remaining members round-trip in fixed-width batches into one resident
-  // arena buffer (decode_into, no per-member recon vector). Each member
-  // writes its own score slot and the batch boundaries never depend on
-  // the worker count, so the sweep is bit-deterministic at any thread
-  // count. Encoding still produces a transient per-member stream — the
-  // Codec::encode interface returns ownership — but the (much larger)
-  // reconstruction side is allocation-free in steady state.
-  const std::size_t n = stats_.member(0).size();
-  const std::span<float> recon = scratch_.get<float>(3, kBiasBatch * n);
-  for (std::size_t lo = 0; lo < pending_count; lo += kBiasBatch) {
-    const std::size_t len = std::min(kBiasBatch, pending_count - lo);
-    parallel_for(0, len, [&](std::size_t i) {
-      const std::size_t m = pending[lo + i];
-      const climate::Field& original = stats_.member(m);
-      const Bytes stream = plans_ != nullptr
-                               ? plans_->encode(codec, original.data, original.shape, m)
-                               : codec.encode(original.data, original.shape);
-      const std::span<float> out = recon.subspan(i * n, n);
-      codec.decode_into(stream, out);
-      trace::counter_add("pvt.member_roundtrips", 1);
-      scores[m] = stats_.rmsz_of(m, out);
-    });
-  }
+  // Each member writes its own score slot, so the sweep is
+  // bit-deterministic at any worker count.
+  parallel_for(0, pending_count, [&](std::size_t i) {
+    scores[pending[i]] = reconstructed_rmsz_of(codec, pending[i]);
+  });
 }
 
 std::vector<double> PvtVerifier::reconstructed_rmsz(const comp::Codec& codec) const {
-  std::vector<double> scores(stats_.member_count());
+  std::vector<double> scores(source_->member_count());
   reconstructed_rmsz_into(codec, scores, {});
   return scores;
 }
@@ -142,13 +176,12 @@ VariableVerdict PvtVerifier::verify(const comp::Codec& codec,
   CESM_REQUIRE(!test_members.empty());
   trace::Span span("pvt.verify");
   VariableVerdict verdict;
-  verdict.variable = stats_.member(0).name;
+  verdict.variable = source_->variable();
   verdict.codec = codec.name();
 
-  // Evaluate test members in parallel into per-member slots (each
-  // evaluation compresses + scores one field independently), then fold the
-  // pass flags and CR mean serially in member order — same results as the
-  // old serial loop, bit for bit, at any thread count.
+  // Evaluate test members in parallel into per-member slots, then fold the
+  // pass flags and CR mean serially in member order — bit-identical at any
+  // thread count.
   verdict.members.resize(test_members.size());
   parallel_for(0, test_members.size(), [&](std::size_t i) {
     verdict.members[i] = evaluate_member(codec, test_members[i]);
@@ -159,9 +192,9 @@ VariableVerdict PvtVerifier::verify(const comp::Codec& codec,
     // Arena-backed score buffer: warmed on the first verify, reused
     // allocation-free for every subsequent codec variant.
     const std::span<double> recon_scores =
-        scratch_.get<double>(0, stats_.member_count());
+        scratch_.get<double>(0, source_->member_count());
     reconstructed_rmsz_into(codec, recon_scores, verdict.members);
-    verdict.bias = bias_test(stats_.rmsz_distribution(), recon_scores,
+    verdict.bias = bias_test(source_->rmsz_distribution(), recon_scores,
                              thresholds_.bias_confidence);
     verdict.bias_pass = verdict.bias.pass;
     verdict.bias_evaluated = true;

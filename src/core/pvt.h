@@ -10,8 +10,11 @@
 //                      ensemble E_nmax range (eq. 11);
 //   4. bias test     — eq. (9) over all members (see core/bias.h).
 // Tests 1–3 run on a small set of randomly chosen members (the paper uses
-// three); the bias test compresses the whole ensemble.
+// three); the bias test compresses the whole ensemble. Members come from a
+// MemberSource (core/member_source.h), so this one implementation serves
+// both resident and spilled ensembles.
 
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "compress/codec.h"
 #include "compress/prep.h"
 #include "core/bias.h"
+#include "core/member_source.h"
 #include "core/metrics.h"
 #include "core/rmsz.h"
 #include "util/arena.h"
@@ -53,15 +57,6 @@ struct MemberEvaluation {
   bool enmax_pass = false;
 };
 
-/// The scalar tail of a member evaluation, shared by the in-core and
-/// streaming legs: given the raw measurements (CR, §4.2 metrics, original
-/// and reconstructed RMSZ) and the ensemble's precomputed distribution
-/// extremes, derive the eq. (8)/(11) windows and the per-test pass flags.
-[[nodiscard]] MemberEvaluation finish_member_evaluation(
-    std::size_t member, double cr, const ErrorMetrics& metrics, double rmsz_original,
-    double rmsz_reconstructed, std::pair<double, double> rmsz_range,
-    double enmax_range, const PvtThresholds& thresholds);
-
 /// Verdict for one (variable, codec) pair — one cell of Table 6.
 struct VariableVerdict {
   std::string variable;
@@ -87,14 +82,15 @@ struct VariableVerdict {
   }
 };
 
-/// Fold `verdict.members` into the verdict's per-test pass flags and mean
-/// CR (serial, member order) — shared by the in-core and streaming verify
-/// paths so both aggregate identically.
-void fold_member_flags(VariableVerdict& verdict);
-
+/// Tests 1–4 for one variable, over any MemberSource.
 class PvtVerifier {
  public:
+  /// Verifies the members resident in `stats` (which must outlive the
+  /// verifier).
   explicit PvtVerifier(const EnsembleStats& stats, PvtThresholds thresholds = {});
+  /// Verifies the members `source` serves (which must outlive the
+  /// verifier).
+  explicit PvtVerifier(const MemberSource& source, PvtThresholds thresholds = {});
 
   /// Tests 1–3 for one member.
   [[nodiscard]] MemberEvaluation evaluate_member(const comp::Codec& codec,
@@ -104,10 +100,11 @@ class PvtVerifier {
   /// when `run_bias` (compresses the whole ensemble; parallelized).
   ///
   /// The steady-state loop (same verifier, successive codecs) reuses a
-  /// scratch arena: after the first call it performs zero verify-layer
-  /// heap allocations (asserted via the "arena.grow" trace counter).
+  /// scratch arena for its per-member bookkeeping and the source's
+  /// recycled reconstruction buffers: after the first call the arena does
+  /// not grow (asserted via the "arena.grow" trace counter).
   /// Consequently verify() must not run concurrently on one verifier;
-  /// distinct verifiers remain independent.
+  /// distinct verifiers, even over one source, remain independent.
   [[nodiscard]] VariableVerdict verify(const comp::Codec& codec,
                                        std::span<const std::size_t> test_members,
                                        bool run_bias = true) const;
@@ -116,42 +113,38 @@ class PvtVerifier {
   /// y-axis data and the bias test input.
   [[nodiscard]] std::vector<double> reconstructed_rmsz(const comp::Codec& codec) const;
 
-  /// Fixed bias-sweep batch width: the sweep round-trips at most this many
-  /// members at a time into one resident arena buffer, bounding recon
-  /// memory at kBiasBatch fields instead of the whole ensemble. Never
-  /// derived from the worker count, so the decomposition (and the
-  /// results) are identical at any thread count.
-  static constexpr std::size_t kBiasBatch = 16;
-
   /// The paper's "choose three members at random".
   static std::vector<std::size_t> pick_members(std::size_t count, std::size_t member_count,
                                                std::uint64_t seed);
 
   /// Attach a shared encode-prep plan store (see prep.h): every encode
-  /// this verifier performs is then plan-driven, keyed by member index.
-  /// The store may be shared across verifiers (it is thread-safe); plans
-  /// never change the produced streams, so verdicts are bit-identical
-  /// with or without one. Null detaches.
+  /// this verifier performs is then plan-driven (the source picks the
+  /// block keys). The store may be shared across verifiers (it is
+  /// thread-safe); plans never change the produced streams, so verdicts
+  /// are bit-identical with or without one. Null detaches.
   void set_plan_store(comp::PlanStore* plans) { plans_ = plans; }
 
-  [[nodiscard]] const EnsembleStats& stats() const { return stats_; }
+  [[nodiscard]] const MemberSource& source() const { return *source_; }
   [[nodiscard]] const PvtThresholds& thresholds() const { return thresholds_; }
 
  private:
+  /// One member's reconstructed RMSZ (the bias sweep's per-member score).
+  [[nodiscard]] double reconstructed_rmsz_of(const comp::Codec& codec,
+                                             std::size_t member) const;
+
   /// Fill `scores` (one slot per member) with the reconstructed-ensemble
   /// RMSZ; the allocation-free core of reconstructed_rmsz(). Members
   /// already scored by `known` evaluations (the verify() test members)
   /// are seeded from eval.rmsz_reconstructed instead of being compressed
   /// again — codecs are deterministic, so the reused score is bit-exact.
-  /// The rest round-trip in kBiasBatch batches through an arena-backed
-  /// decode_into buffer.
   void reconstructed_rmsz_into(const comp::Codec& codec, std::span<double> scores,
                                std::span<const MemberEvaluation> known) const;
 
-  const EnsembleStats& stats_;
+  std::unique_ptr<const MemberSource> owned_;  ///< set when built from stats
+  const MemberSource* source_;
   PvtThresholds thresholds_;
   comp::PlanStore* plans_ = nullptr;
-  /// Reusable verify-loop scratch (bias-sweep score buffer). Mutable so
+  /// Reusable verify-loop scratch (bias-sweep bookkeeping). Mutable so
   /// the logically-const verify() can recycle capacity across calls.
   mutable util::ScratchArena scratch_;
 };

@@ -87,6 +87,10 @@ class EnsembleStats {
   /// Field::valid_mask() per evaluation.
   [[nodiscard]] std::span<const std::uint8_t> mask() const { return mask_; }
 
+  /// Per-point sum and sum of squares over all members (eq. 6 inputs).
+  [[nodiscard]] std::span<const double> sum() const { return sum_; }
+  [[nodiscard]] std::span<const double> sum_sq() const { return sum_sq_; }
+
   /// Exact-bit snapshot of the members and every derived product, for the
   /// content-addressed ensemble cache (core/ensemble_cache.h). A
   /// deserialized instance is indistinguishable from a freshly built one:

@@ -86,7 +86,7 @@ VariableVerdict codec_error_verdict(const PvtVerifier& verifier, const comp::Cod
                                     const std::string& message) {
   trace::counter_add("suite.codec_errors", 1);
   VariableVerdict verdict;
-  verdict.variable = verifier.stats().member(0).name;
+  verdict.variable = verifier.source().variable();
   verdict.codec = codec.name();
   verdict.codec_error = true;
   verdict.error_message = message;
@@ -116,15 +116,13 @@ VariableVerdict codec_error_verdict(const PvtVerifier& verifier, const comp::Cod
 /// verify() one variant; a thrown cesm::Error becomes a codec-error
 /// verdict. Non-null `injected` is an error already raised for this
 /// variant by the caller's catalog-order failpoint pre-pass: the verify is
-/// skipped and the codec-error path runs directly — exactly what the
-/// in-line CESM_FAILPOINT("suite.verify_variant") used to produce, but
-/// with the injection decided at a deterministic point so parallel sweeps
+/// skipped and the codec-error path runs directly, so parallel sweeps
 /// attribute faults to the same variants as the serial schedule.
 VariableVerdict verify_with_fallback(const PvtVerifier& verifier, const comp::Codec& codec,
                                      std::optional<float> fill,
                                      std::span<const std::size_t> test_members,
                                      const SuiteConfig& config,
-                                     const std::string* injected = nullptr) {
+                                     const std::string* injected) {
   if (injected != nullptr) {
     return codec_error_verdict(verifier, codec, fill, test_members, config, *injected);
   }
@@ -139,15 +137,10 @@ VariableVerdict verify_with_fallback(const PvtVerifier& verifier, const comp::Co
 
 }  // namespace
 
-VariableResult run_variable(const climate::EnsembleGenerator& ensemble,
-                            const climate::VariableSpec& spec,
-                            const SuiteConfig& config,
-                            const comp::VariantPool* pool) {
-  trace::Span span("suite.variable");
+VariableResult begin_variable(const climate::VariableSpec& spec, const SuiteConfig& config) {
   trace::counter_add("suite.variables", 1);
-  // test_members.front() below (and every downstream verify) requires at
-  // least one probe member; a zero count used to slip through pick_members
-  // and dereference an empty vector.
+  // The test members' front() is the probe member of every downstream
+  // step; a zero count would dereference an empty vector.
   if (config.test_member_count == 0) {
     throw InvalidArgument("SuiteConfig::test_member_count must be >= 1 (variable " +
                           spec.name + ")");
@@ -157,51 +150,37 @@ VariableResult run_variable(const climate::EnsembleGenerator& ensemble,
   result.variable = spec.name;
   result.is_3d = spec.is_3d;
   if (spec.has_fill) result.fill = climate::kFillValue;
+  return result;
+}
 
-  // Memoized ensemble products: repetitions, variants and sibling bench
-  // tools all share one synthesis + stats build per (ensemble, variable)
-  // key. With the cache disabled this is a plain build.
-  const std::shared_ptr<const EnsembleStats> stats_ptr =
-      EnsembleCache::global().stats(ensemble, spec);
-  const EnsembleStats& stats = *stats_ptr;
-
-  // One plan store per variable: the variant-invariant encode stages
-  // (fpzip ordered map, ISABELA sort + fit, GRIB2 scans and wavelet lift)
-  // are computed once per member here and reused across the lossless
-  // probe, the GRIB2 tuning ladder and every variant verify below. Plans
-  // are pure memoization — every stream stays byte-identical (prep.h).
-  comp::PlanStore plans(config.plan_cache_bytes);
-  PvtVerifier verifier(stats, config.thresholds);
-  verifier.set_plan_store(&plans);
-
+void verify_variable(const MemberSource& source, const climate::VariableSpec& spec,
+                     const SuiteConfig& config, comp::PlanStore& plans,
+                     const comp::VariantPool* pool, VariableResult& result) {
   result.test_members = PvtVerifier::pick_members(
-      config.test_member_count, stats.member_count(),
+      config.test_member_count, source.member_count(),
       hash_combine(config.member_seed, spec.stream));
+  const std::size_t probe = result.test_members.front();
 
-  // Characterization + lossless baselines on the first test member. With
-  // chunk_elems set, both baselines measure the chunked container stream —
-  // the same stream the out-of-core leg sizes via packed_stream_bytes.
-  const climate::Field& probe = stats.member(result.test_members.front());
-  result.character = characterize(
-      probe, *with_chunking(std::make_shared<comp::DeflateCodec>(), config.chunk_elems));
+  // Characterization + lossless baselines on the probe member. The plan
+  // store is shared by every encode below: the variant-invariant stages
+  // (fpzip ordered map, ISABELA sort + fit, GRIB2 scans and wavelet lift)
+  // are computed once per member and reused across the fpzip-32 probe,
+  // the GRIB2 tuning ladder and every variant verify. Plans are pure
+  // memoization — every stream stays byte-identical (prep.h).
+  result.character.summary = source.member_summary(probe);
+  result.character.lossless_cr = source.encoded_cr(
+      *with_chunking(std::make_shared<comp::DeflateCodec>(), config.chunk_elems), probe,
+      &plans);
   result.netcdf4_cr = result.character.lossless_cr;
-  {
-    // The probe's fpzip-32 stream seeds the plan store: when the variable
-    // has no fill value, the fpzip variants below reuse the ordered map
-    // this encode builds for the probe member.
-    const comp::CodecPtr fpz32 =
-        with_chunking(std::make_shared<comp::FpzCodec>(32), config.chunk_elems);
-    const Bytes s =
-        plans.encode(*fpz32, probe.data, probe.shape, result.test_members.front());
-    result.fpzip32_cr = comp::compression_ratio(s.size(), probe.data.size());
-  }
+  result.fpzip32_cr = source.encoded_cr(
+      *with_chunking(std::make_shared<comp::FpzCodec>(32), config.chunk_elems), probe,
+      &plans);
 
-  // RMSZ-guided GRIB2 decimal scale (§5.4). Sharing `plans` leaves the
-  // winning scale's wavelet lift cached for the GRIB2 variant verify.
+  // RMSZ-guided GRIB2 decimal scale (§5.4).
   const GribTuning tuning = rmsz_guided_decimal_scale(
-      stats, result.fill, result.test_members, config.thresholds,
-      config.grib_significant_digits, config.grib_max_extra_digits,
-      config.chunk_elems, &plans);
+      source, result.fill, result.test_members, config.thresholds,
+      config.grib_significant_digits, config.grib_max_extra_digits, config.chunk_elems,
+      &plans);
   result.grib_decimal_scale = tuning.decimal_scale;
   result.grib_tuning_passed = tuning.passed;
 
@@ -224,53 +203,59 @@ VariableResult run_variable(const climate::EnsembleGenerator& ensemble,
     }
   }
 
+  // Verdicts land in fixed catalog-order slots, so the results are
+  // byte-identical to the serial sweep at any variant_jobs setting and
+  // worker count. verify() must not run concurrently on one verifier
+  // (shared scratch arena), so a parallel sweep gives each task its own.
+  PvtVerifier verifier(source, config.thresholds);
+  verifier.set_plan_store(&plans);
   result.verdicts.resize(variants.size());
+  const auto verify_one = [&](const PvtVerifier& task_verifier, std::size_t v) {
+    trace::counter_add("sweep.variant_tasks", 1);
+    const comp::CodecPtr wrapped = with_chunking(variants[v], config.chunk_elems);
+    result.verdicts[v] =
+        verify_with_fallback(task_verifier, *wrapped, result.fill, result.test_members,
+                             config, has_injection[v] != 0 ? &injected[v] : nullptr);
+  };
   const std::size_t grain = variant_grain(config.variant_jobs, variants.size());
   if (grain >= variants.size()) {
-    // Serial catalog order (the default): one verifier, whose scratch
-    // arena warms on the first variant and serves the rest allocation-free.
-    for (std::size_t v = 0; v < variants.size(); ++v) {
-      trace::counter_add("sweep.variant_tasks", 1);
-      const comp::CodecPtr wrapped = with_chunking(variants[v], config.chunk_elems);
-      result.verdicts[v] =
-          verify_with_fallback(verifier, *wrapped, result.fill, result.test_members,
-                               config, has_injection[v] != 0 ? &injected[v] : nullptr);
-    }
+    for (std::size_t v = 0; v < variants.size(); ++v) verify_one(verifier, v);
   } else {
-    // Parallel sweep: verdicts land in fixed catalog-order slots, so the
-    // results are byte-identical to the serial path at any worker count.
-    // verify() must not run concurrently on one verifier (shared scratch
-    // arena), so each task builds its own; they all share `plans`.
     parallel_for(
         0, variants.size(),
         [&](std::size_t v) {
-          trace::counter_add("sweep.variant_tasks", 1);
-          const comp::CodecPtr wrapped = with_chunking(variants[v], config.chunk_elems);
-          PvtVerifier task_verifier(stats, config.thresholds);
+          PvtVerifier task_verifier(source, config.thresholds);
           task_verifier.set_plan_store(&plans);
-          result.verdicts[v] = verify_with_fallback(
-              task_verifier, *wrapped, result.fill, result.test_members, config,
-              has_injection[v] != 0 ? &injected[v] : nullptr);
+          verify_one(task_verifier, v);
         },
         grain);
   }
+}
+
+VariableResult run_variable(const climate::EnsembleGenerator& ensemble,
+                            const climate::VariableSpec& spec,
+                            const SuiteConfig& config,
+                            const comp::VariantPool* pool) {
+  trace::Span span("suite.variable");
+  VariableResult result = begin_variable(spec, config);
+  // Memoized ensemble products: repetitions, variants and sibling bench
+  // tools all share one synthesis + stats build per (ensemble, variable)
+  // key. With the cache disabled this is a plain build.
+  const std::shared_ptr<const EnsembleStats> stats =
+      EnsembleCache::global().stats(ensemble, spec);
+  const ResidentMembers source(*stats);
+  comp::PlanStore plans(config.plan_cache_bytes);
+  verify_variable(source, spec, config, plans, pool, result);
   return result;
 }
 
-namespace {
-
-/// run_variable with the suite's containment policy: retry after a
-/// whole-variable failure (one-shot injected faults clear themselves), and
-/// when retries are exhausted return a processing_failed marker instead of
-/// tearing down the other 100+ variables of the sweep.
-VariableResult run_variable_guarded(const climate::EnsembleGenerator& ensemble,
-                                    const climate::VariableSpec& spec,
+VariableResult run_variable_guarded(const climate::VariableSpec& spec,
                                     const SuiteConfig& config,
-                                    const comp::VariantPool* pool) {
+                                    const std::function<VariableResult()>& run) {
   std::size_t failures = 0;
   for (;;) {
     try {
-      return run_variable(ensemble, spec, config, pool);
+      return run();
     } catch (const InvalidArgument&) {
       throw;  // caller bug: retrying cannot help and hiding it would lie
     } catch (const Error& e) {
@@ -289,8 +274,6 @@ VariableResult run_variable_guarded(const climate::EnsembleGenerator& ensemble,
     }
   }
 }
-
-}  // namespace
 
 std::vector<const climate::VariableSpec*> resolve_suite_specs(
     const climate::EnsembleGenerator& ensemble,
@@ -321,7 +304,8 @@ SuiteResults run_suite(const climate::EnsembleGenerator& ensemble,
   comp::VariantPool pool;
   results.variables.resize(specs.size());
   parallel_for(0, specs.size(), [&](std::size_t i) {
-    results.variables[i] = run_variable_guarded(ensemble, *specs[i], config, &pool);
+    results.variables[i] = run_variable_guarded(
+        *specs[i], config, [&] { return run_variable(ensemble, *specs[i], config, &pool); });
   });
   if (const std::size_t failed = results.failed_variable_count(); failed > 0) {
     trace::counter_add("suite.variables_failed_total", failed);

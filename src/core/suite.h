@@ -9,6 +9,7 @@
 //   * aggregation helpers: per-method pass counts (Table 6) and the
 //     per-variant error distributions (Figure 1).
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -17,6 +18,7 @@
 #include "climate/ensemble.h"
 #include "compress/variants.h"
 #include "core/grib_tuning.h"
+#include "core/member_source.h"
 #include "core/metrics.h"
 #include "core/pvt.h"
 
@@ -147,10 +149,34 @@ VariableResult run_variable(const climate::EnsembleGenerator& ensemble,
                             const SuiteConfig& config = {},
                             const comp::VariantPool* pool = nullptr);
 
+// --- the per-variable pipeline both legs share (run_variable here,
+// run_variable_streaming in core/ooc.h) ---
+
+/// Opens one variable's run: counts it, validates the config, hits the
+/// "suite.variable" failpoint, and returns a result carrying the
+/// variable's identity (name, dimensionality, fill).
+VariableResult begin_variable(const climate::VariableSpec& spec, const SuiteConfig& config);
+
+/// The variable body over `source`: test-member draw, characterization and
+/// lossless baselines, RMSZ-guided GRIB2 tuning, the catalog-order
+/// failpoint pre-pass and the variant sweep with codec-error fallback.
+/// Every codec is wrapped with `config.chunk_elems`; every encode shares
+/// `plans`. Fills `result` as begin_variable() returned it.
+void verify_variable(const MemberSource& source, const climate::VariableSpec& spec,
+                     const SuiteConfig& config, comp::PlanStore& plans,
+                     const comp::VariantPool* pool, VariableResult& result);
+
+/// Runs `run` under the suite's containment policy: retry after a
+/// whole-variable failure (one-shot injected faults clear themselves), and
+/// when retries are exhausted return a processing_failed marker instead of
+/// tearing down the rest of the sweep. InvalidArgument always propagates.
+VariableResult run_variable_guarded(const climate::VariableSpec& spec,
+                                    const SuiteConfig& config,
+                                    const std::function<VariableResult()>& run);
+
 /// Scheduler grain for sweeping `n` variants under
 /// SuiteConfig::variant_jobs: 1 -> n (one serial task, catalog order),
-/// 0 -> 1 (one task per variant), N -> about N contiguous tasks. Shared by
-/// the in-core and streaming sweeps.
+/// 0 -> 1 (one task per variant), N -> about N contiguous tasks.
 [[nodiscard]] inline std::size_t variant_grain(std::size_t variant_jobs,
                                                std::size_t n) {
   if (n == 0) return 1;
@@ -166,7 +192,8 @@ comp::CodecPtr with_chunking(comp::CodecPtr codec, std::size_t chunk_elems);
 /// The §5 hybrid stand-in for a lossy variant that failed outright: the
 /// fpzip family degrades to its own lossless mode (fpzip-32); every other
 /// family has no lossless mode and is stored as NetCDF-4 instead.
-/// Exposed so the streaming leg records the same fallback codec names.
+/// Public so a caller replaying the variable body records the same
+/// fallback codec names.
 comp::CodecPtr lossless_stand_in(const std::string& failed_codec,
                                  std::optional<float> fill,
                                  std::size_t chunk_elems = 0);

@@ -6,6 +6,7 @@
 
 #include "compress/grib2/grib2.h"
 #include "util/rng.h"
+#include "util/scheduler.h"
 
 namespace cesm::core {
 namespace {
@@ -74,6 +75,40 @@ TEST(GribTuning, TunedScaleIsDeterministic) {
   const GribTuning b = rmsz_guided_decimal_scale(stats, std::nullopt, probes);
   EXPECT_EQ(a.decimal_scale, b.decimal_scale);
   EXPECT_EQ(a.passed, b.passed);
+}
+
+TEST(GribTuning, SameTuningAtOneAndFourWorkers) {
+  // Test members run in parallel and a failed member skips the ones not
+  // yet started; that only saves work, so the ladder must land on the same
+  // D after the same number of attempts at any worker count — both for a
+  // ladder that refines to a pass and for one that exhausts its budget.
+  struct Case {
+    double amplitude, spread;
+    int max_extra_digits;
+    bool passes;
+  };
+  for (const Case& c : {Case{50.0, 1e-4, 6, true}, Case{1.0e6, 0.05, 2, false}}) {
+    SCOPED_TRACE("spread " + std::to_string(c.spread));
+    const EnsembleStats stats(members_with_scale(15, 600, 0.0, c.amplitude, c.spread, 0x5));
+    const std::vector<std::size_t> probes = {2, 6, 11};
+    GribTuning serial;
+    GribTuning parallel;
+    {
+      ScopedScheduler sched(1);
+      serial = rmsz_guided_decimal_scale(stats, std::nullopt, probes, PvtThresholds{}, 4,
+                                         c.max_extra_digits);
+    }
+    {
+      ScopedScheduler sched(4);
+      parallel = rmsz_guided_decimal_scale(stats, std::nullopt, probes, PvtThresholds{}, 4,
+                                           c.max_extra_digits);
+    }
+    EXPECT_EQ(serial.passed, c.passes);
+    EXPECT_GT(serial.attempts, 1);
+    EXPECT_EQ(parallel.decimal_scale, serial.decimal_scale);
+    EXPECT_EQ(parallel.attempts, serial.attempts);
+    EXPECT_EQ(parallel.passed, serial.passed);
+  }
 }
 
 }  // namespace
