@@ -28,6 +28,8 @@ struct BlockPlan {
   float scale = 0.0f;    // block attenuator: max |sample| (rounded up)
   unsigned bits = 0;     // mantissa bits per sample
   float seed = 0.0f;     // first raw sample when derivative filtering
+  std::size_t extra = 0;        // leading mantissas carrying one extra bit
+  std::size_t budget_bits = 0;  // fixed-rate: exact coded size of the block
 };
 
 float block_scale(double maxabs) {
@@ -41,6 +43,100 @@ double block_maxabs(std::span<const double> v) {
   double m = 0.0;
   for (double x : v) m = std::max(m, std::fabs(x));
   return m;
+}
+
+unsigned block_header_bits(bool derivative) { return 1 + 1 + 32 + 6 + (derivative ? 32 : 0); }
+
+/// Fixed-rate budget of a `len`-sample block; the mantissa width and the
+/// remainder-bit count follow from it alone, never from the coded data.
+std::size_t fixed_rate_budget(double rate_bits, std::size_t len) {
+  return static_cast<std::size_t>(std::llround(rate_bits * static_cast<double>(len)));
+}
+
+/// Plan one block (encoder side): fills `raw`/`delta` with the block's
+/// samples and first differences and picks filter, scale and bit widths.
+/// `rate_bits` is the fixed-rate bits per sample (0 for fixed quality).
+BlockPlan plan_block(std::span<const float> block, double rate_bits, unsigned quality_bits,
+                     std::vector<double>& raw, std::vector<double>& delta) {
+  const std::size_t len = block.size();
+  raw.resize(len);
+  delta.resize(len);
+  for (std::size_t i = 0; i < len; ++i) raw[i] = static_cast<double>(block[i]);
+  delta[0] = 0.0;
+  for (std::size_t i = 1; i < len; ++i) delta[i] = raw[i] - raw[i - 1];
+
+  const double max_raw = block_maxabs(raw);
+  // Derivative pre-filter pays when the block is smooth: compare the
+  // dynamic range the mantissas must cover (first sample travels as an
+  // exact f32 seed, so it is excluded).
+  const double max_delta =
+      len > 1 ? block_maxabs(std::span<const double>(delta).subspan(1)) : max_raw;
+
+  BlockPlan plan;
+  plan.zero = max_raw == 0.0;
+  plan.derivative = !plan.zero && len > 1 && max_delta < 0.5 * max_raw;
+  plan.seed = block[0];
+  const double maxabs = plan.derivative ? max_delta : max_raw;
+  plan.scale = block_scale(maxabs);
+  // An infinite sample makes the block scale infinite, and decode()
+  // rejects non-finite scales ("apax bad block scale") — refuse here
+  // rather than emit a stream our own decoder cannot read. NaN samples
+  // do not reach the scale (fabs ordering drops them) and quantize to
+  // the zero code, so they stay encodable.
+  if (!std::isfinite(plan.scale)) {
+    throw InvalidArgument("apax cannot encode infinite data");
+  }
+
+  const std::size_t mantissa_count = plan.derivative ? len - 1 : len;
+  if (rate_bits > 0.0) {
+    plan.budget_bits = fixed_rate_budget(rate_bits, len);
+    const unsigned header_bits = block_header_bits(plan.derivative);
+    const std::size_t payload =
+        plan.budget_bits > header_bits ? plan.budget_bits - header_bits : 0;
+    plan.bits = static_cast<unsigned>(std::min<std::size_t>(30, payload / mantissa_count));
+    if (plan.bits < 30) {
+      plan.extra = std::min(mantissa_count, payload - plan.bits * mantissa_count);
+    }
+  } else {
+    plan.bits = quality_bits;
+  }
+  return plan;
+}
+
+/// Mantissa width of coded sample k (0-based after the seed).
+unsigned code_bits(const BlockPlan& plan, std::size_t k) {
+  return plan.bits + (k < plan.extra ? 1 : 0);
+}
+
+/// decode()'s reconstruction of one block from its header and its
+/// `len - first` mantissa codes (apax_quantize's layout).
+void dequantize_block(const BlockPlan& plan, const std::uint32_t* codes,
+                      std::span<float> out) {
+  const std::size_t len = out.size();
+  if (plan.zero || plan.bits == 0) {
+    // Degenerate block: all zeros (or no mantissa budget: decode as the
+    // seed-extended flat line).
+    const float fill = plan.zero ? 0.0f : (plan.derivative ? plan.seed : 0.0f);
+    std::fill(out.begin(), out.end(), fill);
+    return;
+  }
+  const double scale = static_cast<double>(plan.scale);
+  double acc = static_cast<double>(plan.seed);
+  const std::size_t first = plan.derivative ? 1 : 0;
+  if (plan.derivative) out[0] = plan.seed;
+  for (std::size_t i = first; i < len; ++i) {
+    const unsigned b = code_bits(plan, i - first);
+    const double q = static_cast<double>((1u << (b - 1)) - 1);
+    const auto limit = static_cast<std::int32_t>(q);
+    const auto m = static_cast<std::int32_t>(codes[i - first]) - limit;
+    const double v = static_cast<double>(m) / q * scale;
+    if (plan.derivative) {
+      acc += v;
+      out[i] = static_cast<float>(acc);
+    } else {
+      out[i] = static_cast<float>(v);
+    }
+  }
 }
 
 }  // namespace
@@ -94,49 +190,9 @@ Bytes ApaxCodec::encode(std::span<const float> data, const Shape& shape) const {
   std::vector<std::uint32_t> codes(block_);
   for (std::size_t lo = 0; lo < n; lo += block_) {
     const std::size_t len = std::min(block_, n - lo);
-    raw.resize(len);
-    delta.resize(len);
-    for (std::size_t i = 0; i < len; ++i) raw[i] = static_cast<double>(data[lo + i]);
-    delta[0] = 0.0;
-    for (std::size_t i = 1; i < len; ++i) delta[i] = raw[i] - raw[i - 1];
-
-    const double max_raw = block_maxabs(raw);
-    // Derivative pre-filter pays when the block is smooth: compare the
-    // dynamic range the mantissas must cover (first sample travels as an
-    // exact f32 seed, so it is excluded).
-    const double max_delta =
-        len > 1 ? block_maxabs(std::span<const double>(delta).subspan(1)) : max_raw;
-
-    BlockPlan plan;
-    plan.zero = max_raw == 0.0;
-    plan.derivative = !plan.zero && len > 1 && max_delta < 0.5 * max_raw;
-    plan.seed = data[lo];
-    const double maxabs = plan.derivative ? max_delta : max_raw;
-    plan.scale = block_scale(maxabs);
-    // An infinite sample makes the block scale infinite, and decode()
-    // rejects non-finite scales ("apax bad block scale") — refuse here
-    // rather than emit a stream our own decoder cannot read. NaN samples
-    // do not reach the scale (fabs ordering drops them) and quantize to
-    // the zero code, so they stay encodable.
-    if (!std::isfinite(plan.scale)) {
-      throw InvalidArgument("apax cannot encode infinite data");
-    }
-
+    const BlockPlan plan =
+        plan_block(data.subspan(lo, len), rate_bits, quality_bits_, raw, delta);
     const std::size_t bits_before = bw.bit_count();
-    const unsigned header_bits = 1 + 1 + 32 + 6 + (plan.derivative ? 32 : 0);
-    const std::size_t mantissa_count = plan.derivative ? len - 1 : len;
-    std::size_t budget_bits = 0;
-    std::size_t extra = 0;  // leading samples carrying one extra bit
-    if (fixed_rate_) {
-      budget_bits = static_cast<std::size_t>(std::llround(rate_bits * static_cast<double>(len)));
-      const std::size_t payload = budget_bits > header_bits ? budget_bits - header_bits : 0;
-      plan.bits = static_cast<unsigned>(std::min<std::size_t>(30, payload / mantissa_count));
-      if (plan.bits < 30) {
-        extra = std::min(mantissa_count, payload - plan.bits * mantissa_count);
-      }
-    } else {
-      plan.bits = quality_bits_;
-    }
 
     bw.put_bit(plan.zero);
     bw.put_bit(plan.derivative);
@@ -145,16 +201,14 @@ Bytes ApaxCodec::encode(std::span<const float> data, const Shape& shape) const {
     if (plan.derivative) bw.put(std::bit_cast<std::uint32_t>(plan.seed), 32);
 
     if (!plan.zero && plan.bits > 0) {
-      const double scale = static_cast<double>(plan.scale);
       const std::span<const double> src(plan.derivative ? delta : raw);
       const std::size_t first = plan.derivative ? 1 : 0;
       // Attenuate the whole block branch-free, then pack: the bit widths
       // only change once (after the first `extra` samples).
-      kernels::apax_quantize(src.data(), first, len, scale, plan.bits, extra,
-                             codes.data());
+      kernels::apax_quantize(src.data(), first, len, static_cast<double>(plan.scale),
+                             plan.bits, plan.extra, codes.data());
       for (std::size_t i = first; i < len; ++i) {
-        const unsigned b = plan.bits + ((i - first) < extra ? 1 : 0);
-        bw.put(codes[i - first], b);
+        bw.put(codes[i - first], code_bits(plan, i - first));
       }
     }
 
@@ -162,8 +216,9 @@ Bytes ApaxCodec::encode(std::span<const float> data, const Shape& shape) const {
       // Pad to the exact block budget so the advertised rate is honored
       // even for zero or low-entropy blocks.
       std::size_t used = bw.bit_count() - bits_before;
-      while (used < budget_bits) {
-        const unsigned chunk = static_cast<unsigned>(std::min<std::size_t>(32, budget_bits - used));
+      while (used < plan.budget_bits) {
+        const unsigned chunk =
+            static_cast<unsigned>(std::min<std::size_t>(32, plan.budget_bits - used));
         bw.put(0, chunk);
         used += chunk;
       }
@@ -190,72 +245,80 @@ std::vector<float> ApaxCodec::decode(std::span<const std::uint8_t> stream) const
   const double rate_bits = fixed_rate ? 32.0 / ratio : 0.0;
   (void)quality_bits;
 
+  std::vector<std::uint32_t> codes(block);
   for (std::size_t lo = 0; lo < n; lo += block) {
     const std::size_t len = std::min(block, n - lo);
     const std::size_t bits_before = br.bits_consumed();
 
-    const bool zero = br.get_bit();
-    const bool derivative = br.get_bit();
-    const float scale_f = std::bit_cast<float>(static_cast<std::uint32_t>(br.get(32)));
-    const unsigned bits = static_cast<unsigned>(br.get(6));
-    if (bits > 30) throw FormatError("apax mantissa width out of range");
-    if (!(scale_f >= 0.0f) || !std::isfinite(scale_f)) {
+    BlockPlan plan;
+    plan.zero = br.get_bit();
+    plan.derivative = br.get_bit();
+    plan.scale = std::bit_cast<float>(static_cast<std::uint32_t>(br.get(32)));
+    plan.bits = static_cast<unsigned>(br.get(6));
+    if (plan.bits > 30) throw FormatError("apax mantissa width out of range");
+    if (!(plan.scale >= 0.0f) || !std::isfinite(plan.scale)) {
       throw FormatError("apax bad block scale");
     }
-    float seed = 0.0f;
-    if (derivative) seed = std::bit_cast<float>(static_cast<std::uint32_t>(br.get(32)));
+    if (plan.derivative) plan.seed = std::bit_cast<float>(static_cast<std::uint32_t>(br.get(32)));
 
     // Recompute the encoder's remainder-bit allocation.
-    const unsigned header_bits = 1 + 1 + 32 + 6 + (derivative ? 32 : 0);
-    const std::size_t mantissa_count = derivative ? len - 1 : len;
-    std::size_t extra = 0;
-    std::size_t budget_bits = 0;
+    const std::size_t mantissa_count = plan.derivative ? len - 1 : len;
     if (fixed_rate) {
-      budget_bits =
-          static_cast<std::size_t>(std::llround(rate_bits * static_cast<double>(len)));
-      const std::size_t payload = budget_bits > header_bits ? budget_bits - header_bits : 0;
+      plan.budget_bits = fixed_rate_budget(rate_bits, len);
+      const unsigned header_bits = block_header_bits(plan.derivative);
+      const std::size_t payload =
+          plan.budget_bits > header_bits ? plan.budget_bits - header_bits : 0;
       const auto expected =
           static_cast<unsigned>(std::min<std::size_t>(30, payload / mantissa_count));
-      if (expected < 30) extra = payload - expected * mantissa_count;
+      if (expected < 30) plan.extra = payload - expected * mantissa_count;
     }
 
-    if (zero || bits == 0) {
-      // Degenerate block: all zeros (or no mantissa budget: decode as the
-      // seed-extended flat line).
-      float fill = derivative ? seed : 0.0f;
-      for (std::size_t i = 0; i < len; ++i) out[lo + i] = zero ? 0.0f : fill;
-    } else {
-      const double scale = static_cast<double>(scale_f);
-      double acc = static_cast<double>(seed);
-      const std::size_t first = derivative ? 1 : 0;
-      if (derivative) out[lo] = seed;
-      for (std::size_t i = first; i < len; ++i) {
-        const unsigned b = bits + ((i - first) < extra ? 1 : 0);
-        const double q = static_cast<double>((1u << (b - 1)) - 1);
-        const auto limit = static_cast<std::int32_t>(q);
-        const auto m = static_cast<std::int32_t>(br.get(b)) - limit;
-        const double v = static_cast<double>(m) / q * scale;
-        if (derivative) {
-          acc += v;
-          out[lo + i] = static_cast<float>(acc);
-        } else {
-          out[lo + i] = static_cast<float>(v);
-        }
+    if (!plan.zero && plan.bits > 0) {
+      for (std::size_t k = 0; k < mantissa_count; ++k) {
+        codes[k] = static_cast<std::uint32_t>(br.get(code_bits(plan, k)));
       }
     }
+    dequantize_block(plan, codes.data(), std::span<float>(out).subspan(lo, len));
 
     if (fixed_rate) {
-      const auto budget_bits =
-          static_cast<std::size_t>(std::llround(rate_bits * static_cast<double>(len)));
       std::size_t used = br.bits_consumed() - bits_before;
-      while (used < budget_bits) {
-        const unsigned chunk = static_cast<unsigned>(std::min<std::size_t>(32, budget_bits - used));
+      while (used < plan.budget_bits) {
+        const unsigned chunk =
+            static_cast<unsigned>(std::min<std::size_t>(32, plan.budget_bits - used));
         br.get(chunk);
         used += chunk;
       }
     }
   }
   return out;
+}
+
+void ApaxCodec::reconstruct_into(std::span<const float> data, const Shape& shape,
+                                 const PrepPlan* plan, std::span<float> out) const {
+  if (!wire::reconstructible(shape, data.size(), out.size())) {
+    Codec::reconstruct_into(data, shape, plan, out);
+    return;
+  }
+  // encode()'s parameter checks (the factories already enforce them).
+  CESM_REQUIRE(block_ > 0 && block_ <= (1u << 20));
+  if (fixed_rate_) CESM_REQUIRE(ratio_ > 1.0 && ratio_ <= 32.0);
+  const double rate_bits = fixed_rate_ ? 32.0 / ratio_ : 0.0;
+  const std::size_t n = data.size();
+
+  std::vector<double> raw(block_), delta(block_);
+  std::vector<std::uint32_t> codes(block_);
+  for (std::size_t lo = 0; lo < n; lo += block_) {
+    const std::size_t len = std::min(block_, n - lo);
+    const BlockPlan block =
+        plan_block(data.subspan(lo, len), rate_bits, quality_bits_, raw, delta);
+    if (!block.zero && block.bits > 0) {
+      const std::span<const double> src(block.derivative ? delta : raw);
+      kernels::apax_quantize(src.data(), block.derivative ? 1 : 0, len,
+                             static_cast<double>(block.scale), block.bits, block.extra,
+                             codes.data());
+    }
+    dequantize_block(block, codes.data(), out.subspan(lo, len));
+  }
 }
 
 }  // namespace cesm::comp

@@ -46,6 +46,13 @@ class ApaxCodec final : public Codec {
   [[nodiscard]] Bytes encode(std::span<const float> data, const Shape& shape) const override;
   [[nodiscard]] std::vector<float> decode(std::span<const std::uint8_t> stream) const override;
 
+  /// Reconstruct-only: the same block plan and attenuation as encode(),
+  /// then decode()'s dequantization and derivative accumulation — no bit
+  /// packing. Fixed-rate mantissa widths depend only on the block budget,
+  /// never on the coded size, so they are recomputed exactly.
+  void reconstruct_into(std::span<const float> data, const Shape& shape,
+                        const PrepPlan* plan, std::span<float> out) const override;
+
   [[nodiscard]] bool is_fixed_rate() const { return fixed_rate_; }
   [[nodiscard]] double target_ratio() const { return ratio_; }
   [[nodiscard]] unsigned quality_bits() const { return quality_bits_; }

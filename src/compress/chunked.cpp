@@ -94,6 +94,22 @@ Bytes ChunkedCodec::encode(std::span<const float> data, const Shape& shape) cons
   return out;
 }
 
+void ChunkedCodec::reconstruct_into(std::span<const float> data, const Shape& shape,
+                                    const PrepPlan* plan, std::span<float> out) const {
+  if (!wire::reconstructible(shape, data.size(), out.size())) {
+    Codec::reconstruct_into(data, shape, plan, out);
+    return;
+  }
+  trace::Span span("chunked.reconstruct");
+  const std::vector<std::size_t> offsets = chunk_offsets(shape);
+  parallel_for(0, offsets.size() - 1, [&](std::size_t c) {
+    const std::size_t lo = offsets[c];
+    const std::size_t len = offsets[c + 1] - lo;
+    inner_->reconstruct_into(data.subspan(lo, len), chunk_shape(shape, lo, lo + len),
+                             nullptr, out.subspan(lo, len));
+  });
+}
+
 std::vector<float> ChunkedCodec::decode(std::span<const std::uint8_t> stream) const {
   ByteReader r(stream);
   const Shape shape = wire::read_header(r, kChunkMagic);

@@ -36,6 +36,10 @@ class ChunkedCodec final : public Codec {
   [[nodiscard]] std::vector<float> decode(std::span<const std::uint8_t> stream) const override;
   void decode_into(std::span<const std::uint8_t> stream,
                    std::span<float> out) const override;
+  /// Reconstructs every chunk through the inner codec in parallel, each
+  /// straight into its slice of `out` (the wrapper has no plan of its own).
+  void reconstruct_into(std::span<const float> data, const Shape& shape,
+                        const PrepPlan* plan, std::span<float> out) const override;
 
   /// The chunk boundaries used for a given shape (element offsets).
   [[nodiscard]] std::vector<std::size_t> chunk_offsets(const Shape& shape) const;

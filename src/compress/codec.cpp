@@ -18,7 +18,8 @@ class TracedCodec final : public Codec {
       : inner_(std::move(inner)),
         encode_label_("encode:" + inner_->name()),
         decode_label_("decode:" + inner_->name()),
-        prep_label_("prep:" + inner_->name()) {}
+        prep_label_("prep:" + inner_->name()),
+        reconstruct_label_("reconstruct:" + inner_->name()) {}
 
   [[nodiscard]] std::string name() const override { return inner_->name(); }
   [[nodiscard]] std::string family() const override { return inner_->family(); }
@@ -95,11 +96,20 @@ class TracedCodec final : public Codec {
     return out;
   }
 
+  void reconstruct_into(std::span<const float> data, const Shape& shape,
+                        const PrepPlan* plan, std::span<float> out) const override {
+    trace::Span span(reconstruct_label_);
+    inner_->reconstruct_into(data, shape, plan, out);
+    trace::counter_add("codec.reconstruct_calls", 1);
+    trace::counter_add("codec.elements_in", data.size());
+  }
+
  private:
   CodecPtr inner_;
   std::string encode_label_;
   std::string decode_label_;
   std::string prep_label_;
+  std::string reconstruct_label_;
 };
 
 }  // namespace
@@ -125,6 +135,13 @@ PrepPlanPtr Codec::build_prep(std::span<const float>, const Shape&) const {
 Bytes Codec::encode_with_prep(const PrepPlan&, std::span<const float> data,
                               const Shape& shape) const {
   return encode(data, shape);
+}
+
+void Codec::reconstruct_into(std::span<const float> data, const Shape& shape,
+                             const PrepPlan* plan, std::span<float> out) const {
+  const Bytes stream =
+      plan != nullptr ? encode_with_prep(*plan, data, shape) : encode(data, shape);
+  decode_into(stream, out);
 }
 
 void Codec::decode_into(std::span<const std::uint8_t> stream,
@@ -172,6 +189,17 @@ Shape read_header(ByteReader& r, std::uint32_t magic) {
     if (count > kMaxDecodeElements) throw FormatError("implausible element count");
   }
   return s;
+}
+
+bool reconstructible(const Shape& shape, std::size_t data_elems, std::size_t out_elems) {
+  if (shape.rank() == 0 || shape.rank() > 8) return false;
+  std::uint64_t count = 1;
+  for (std::size_t d : shape.dims) {
+    if (d == 0 || d > kMaxDecodeElements) return false;
+    count *= d;
+    if (count > kMaxDecodeElements) return false;
+  }
+  return count == data_elems && count == out_elems;
 }
 
 }  // namespace wire

@@ -143,6 +143,20 @@ class Codec {
   [[nodiscard]] virtual Bytes encode_with_prep(const PrepPlan& plan,
                                                std::span<const float> data,
                                                const Shape& shape) const;
+
+  // --- Reconstruct-only path (the bias sweep's scoring hook) -----------
+  //
+  // Contract: `out` ends up bit-identical to
+  // decode_into(encode(data, shape), out) — through
+  // encode_with_prep(*plan, ...) when `plan` is non-null — and the call
+  // throws exactly what that round trip would throw. A lossy family
+  // overrides it to apply only its lossy stage (quantize + dequantize),
+  // skipping the lossless transforms and the entropy coder on both sides;
+  // `plan` (nullable) must have been built by a codec with the same
+  // prep_key() over the same data. The default is the round trip itself,
+  // so wrappers and codecs without an override stay correct.
+  virtual void reconstruct_into(std::span<const float> data, const Shape& shape,
+                                const PrepPlan* plan, std::span<float> out) const;
 };
 
 using CodecPtr = std::shared_ptr<const Codec>;
@@ -175,6 +189,14 @@ inline constexpr std::uint64_t kMaxDecodeElements = 1ull << 27;
 /// 4-byte magic, the shape, and the element count.
 void write_header(ByteWriter& w, std::uint32_t magic, const Shape& shape);
 Shape read_header(ByteReader& r, std::uint32_t magic);
+
+/// True when a stream encoded for `shape` from `data_elems` values would
+/// decode into an `out_elems` buffer without error: the element counts
+/// agree and the shape passes read_header()'s checks. reconstruct_into
+/// overrides take their fast path only then, and otherwise defer to the
+/// round trip so every error class stays the round trip's own.
+[[nodiscard]] bool reconstructible(const Shape& shape, std::size_t data_elems,
+                                   std::size_t out_elems);
 }  // namespace wire
 
 }  // namespace cesm::comp

@@ -230,6 +230,26 @@ Bytes FpzCodec::encode_with_prep(const PrepPlan& plan, std::span<const float> da
   return fpz_encode_planned(p->q0, shape, precision_bits_);
 }
 
+void FpzCodec::reconstruct_into(std::span<const float> data, const Shape& shape,
+                                const PrepPlan* plan, std::span<float> out) const {
+  if (precision_bits_ > 32 || !wire::reconstructible(shape, data.size(), out.size())) {
+    Codec::reconstruct_into(data, shape, plan, out);
+    return;
+  }
+  (void)to_dims3(shape);  // same rank validation (and error) as encode()
+  const unsigned shift = 32 - precision_bits_;
+  std::vector<std::uint32_t> q(data.size());
+  if (plan != nullptr) {
+    const auto* p = dynamic_cast<const FpzPlan*>(plan);
+    CESM_REQUIRE(p != nullptr && p->q0.size() == data.size());
+    for (std::size_t i = 0; i < q.size(); ++i) q[i] = p->q0[i] >> shift;
+  } else {
+    ordered_from(data.data(), q.data(), data.size(), shift);
+  }
+  const std::uint32_t half = shift > 0 ? (std::uint32_t{1} << (shift - 1)) : 0u;
+  from_ordered(q.data(), out.data(), q.size(), shift, half);
+}
+
 Bytes FpzCodec::encode64(std::span<const double> data, const Shape& shape) const {
   return fpz_encode_impl<std::uint64_t>(data, shape, precision_bits_);
 }

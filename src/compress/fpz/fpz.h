@@ -48,6 +48,12 @@ class FpzCodec final : public Codec {
   [[nodiscard]] Bytes encode_with_prep(const PrepPlan& plan, std::span<const float> data,
                                        const Shape& shape) const override;
 
+  /// Reconstruct-only: the truncating ordered map and its re-centred
+  /// inverse, without the Lorenzo transform or the range coder (both are
+  /// lossless). Uses the plan's full-precision map when given one.
+  void reconstruct_into(std::span<const float> data, const Shape& shape,
+                        const PrepPlan* plan, std::span<float> out) const override;
+
   [[nodiscard]] unsigned precision_bits() const { return precision_bits_; }
 
  private:

@@ -78,6 +78,70 @@ std::vector<std::uint8_t> decode_bitmap(RangeDecoder& dec, ResidualCoder& coder,
   return valid;
 }
 
+/// The decimal-scale-invariant scan: validity bitmap (native GRIB2
+/// missing-value support) and the reference range over valid points.
+struct GribScan {
+  std::vector<std::uint8_t> valid;
+  bool any_missing = false;
+  double lo = 0.0, hi = 0.0;
+};
+
+GribScan scan_field(std::span<const float> data, std::optional<float> missing_value) {
+  const std::size_t n = data.size();
+  GribScan scan;
+  scan.valid.assign(n, 1);
+  if (missing_value) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (data[i] == *missing_value) {
+        scan.valid[i] = 0;
+        scan.any_missing = true;
+      }
+    }
+  }
+
+  // Reference value and quantization range. Non-finite points have no
+  // quantized representation: an infinity would spin the binary-scale
+  // search forever and a NaN would silently encode as garbage, so both are
+  // rejected up front (the decoder could never reproduce them anyway).
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!scan.valid[i]) continue;
+    if (!std::isfinite(data[i])) {
+      throw InvalidArgument("grib2 cannot encode non-finite data");
+    }
+    lo = std::min(lo, static_cast<double>(data[i]));
+    hi = std::max(hi, static_cast<double>(data[i]));
+  }
+  if (!(lo <= hi)) {  // entirely missing
+    lo = 0.0;
+    hi = 0.0;
+  }
+  scan.lo = lo;
+  scan.hi = hi;
+  return scan;
+}
+
+/// E: coarsen by powers of two until the integer range fits kMaxQuantized.
+int binary_scale_for(double lo, double hi, int decimal_scale) {
+  const double dec_scale = std::pow(10.0, decimal_scale);
+  int binary_scale = 0;
+  while (std::ldexp((hi - lo) * dec_scale, -binary_scale) >
+         static_cast<double>(kMaxQuantized)) {
+    // decode() rejects binary scales above 62; refuse to emit one. (A float
+    // range times 10^30 tops out near 10^68 ~ 2^226, far past 62 doublings.)
+    if (++binary_scale > 62) {
+      throw InvalidArgument("grib2 data range too wide for decimal scale");
+    }
+  }
+  return binary_scale;
+}
+
+/// Quantization step for (E, D) — the exact expression decode() uses.
+double quantization_step(int binary_scale, int decimal_scale) {
+  return std::ldexp(1.0, binary_scale) / std::pow(10.0, decimal_scale);
+}
+
 // Variant-invariant stage: the validity bitmap and min/max scan never
 // depend on the decimal scale, so one plan serves the whole scale ladder
 // (the grib_tuning search plus the GRIB2 table variant). The quantize +
@@ -118,53 +182,13 @@ std::string Grib2Codec::name() const { return "GRIB2"; }
 Bytes Grib2Codec::encode(std::span<const float> data, const Shape& shape) const {
   CESM_REQUIRE(shape.count() == data.size());
   const std::size_t n = data.size();
-
-  // Validity bitmap (native GRIB2 missing-value support).
-  std::vector<std::uint8_t> valid(n, 1);
-  bool any_missing = false;
-  if (missing_value_) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (data[i] == *missing_value_) {
-        valid[i] = 0;
-        any_missing = true;
-      }
-    }
-  }
-
-  // Reference value and quantization step. Non-finite points have no
-  // quantized representation: an infinity would spin the binary-scale
-  // search forever and a NaN would silently encode as garbage, so both are
-  // rejected up front (the decoder could never reproduce them anyway).
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!valid[i]) continue;
-    if (!std::isfinite(data[i])) {
-      throw InvalidArgument("grib2 cannot encode non-finite data");
-    }
-    lo = std::min(lo, static_cast<double>(data[i]));
-    hi = std::max(hi, static_cast<double>(data[i]));
-  }
-  if (!(lo <= hi)) {  // entirely missing
-    lo = 0.0;
-    hi = 0.0;
-  }
-
-  const double dec_scale = std::pow(10.0, decimal_scale_);
-  int binary_scale = 0;  // E: coarsen when the integer range would blow up
-  while (std::ldexp((hi - lo) * dec_scale, -binary_scale) >
-         static_cast<double>(kMaxQuantized)) {
-    // decode() rejects binary scales above 62; refuse to emit one. (A float
-    // range times 10^30 tops out near 10^68 ~ 2^226, far past 62 doublings.)
-    if (++binary_scale > 62) {
-      throw InvalidArgument("grib2 data range too wide for decimal scale");
-    }
-  }
-  const double step = std::ldexp(1.0, binary_scale) / dec_scale;
+  const GribScan scan = scan_field(data, missing_value_);
+  const int binary_scale = binary_scale_for(scan.lo, scan.hi, decimal_scale_);
 
   std::vector<std::int64_t> q(n);
-  kernels::grib2_quantize(data.data(), any_missing ? valid.data() : nullptr, q.data(), n,
-                          lo, step);
+  kernels::grib2_quantize(data.data(), scan.any_missing ? scan.valid.data() : nullptr,
+                          q.data(), n, scan.lo,
+                          quantization_step(binary_scale, decimal_scale_));
 
   const Dims2 dims = to_dims2(shape);
   const unsigned levels = dwt53_forward_2d(q, dims.rows, dims.cols, 5);
@@ -172,11 +196,11 @@ Bytes Grib2Codec::encode(std::span<const float> data, const Shape& shape) const 
   Bytes out;
   ByteWriter w(out);
   wire::write_header(w, kGribMagic, shape);
-  w.f64(lo);
+  w.f64(scan.lo);
   w.i32(decimal_scale_);
   w.i32(binary_scale);
   w.u8(levels);
-  w.u8(any_missing ? 1 : 0);
+  w.u8(scan.any_missing ? 1 : 0);
   if (missing_value_) {
     w.u8(1);
     w.f32(*missing_value_);
@@ -187,7 +211,7 @@ Bytes Grib2Codec::encode(std::span<const float> data, const Shape& shape) const 
 
   RangeEncoder enc(out);
   ResidualCoder coder;
-  if (any_missing) encode_bitmap(enc, coder, valid);
+  if (scan.any_missing) encode_bitmap(enc, coder, scan.valid);
   ResidualCoder coeff_coder;
   for (std::size_t i = 0; i < n; ++i) {
     coeff_coder.encode(enc, zigzag_encode(static_cast<std::uint64_t>(q[i])));
@@ -228,7 +252,7 @@ std::vector<float> Grib2Codec::decode(std::span<const std::uint8_t> stream) cons
   const Dims2 dims = to_dims2(shape);
   dwt53_inverse_2d(q, dims.rows, dims.cols, levels);
 
-  const double step = std::ldexp(1.0, bscale) / std::pow(10.0, dscale);
+  const double step = quantization_step(bscale, dscale);
   std::vector<float> out(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (any_missing && !valid[i]) {
@@ -247,41 +271,18 @@ std::string Grib2Codec::prep_key() const {
 
 PrepPlanPtr Grib2Codec::build_prep(std::span<const float> data, const Shape& shape) const {
   CESM_REQUIRE(shape.count() == data.size());
-  const std::size_t n = data.size();
-
-  auto plan = std::make_shared<GribPlan>();
-  plan->n = n;
-  std::vector<std::uint8_t> valid(n, 1);
-  if (missing_value_) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (data[i] == *missing_value_) {
-        valid[i] = 0;
-        plan->any_missing = true;
-      }
-    }
-  }
-
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!valid[i]) continue;
-    if (!std::isfinite(data[i])) {
-      throw InvalidArgument("grib2 cannot encode non-finite data");
-    }
-    lo = std::min(lo, static_cast<double>(data[i]));
-    hi = std::max(hi, static_cast<double>(data[i]));
-  }
-  if (!(lo <= hi)) {  // entirely missing
-    lo = 0.0;
-    hi = 0.0;
-  }
-  plan->lo = lo;
-  plan->hi = hi;
+  GribScan scan = scan_field(data, missing_value_);
   // Rank validation after the finite scan, mirroring encode()'s error
   // precedence for inputs that are invalid in more than one way.
   (void)to_dims2(shape);
-  if (plan->any_missing) plan->valid = std::move(valid);
-  plan->lift_q.reserve(n);
+
+  auto plan = std::make_shared<GribPlan>();
+  plan->n = data.size();
+  plan->any_missing = scan.any_missing;
+  plan->lo = scan.lo;
+  plan->hi = scan.hi;
+  if (plan->any_missing) plan->valid = std::move(scan.valid);
+  plan->lift_q.reserve(plan->n);
   return plan;
 }
 
@@ -295,19 +296,11 @@ Bytes Grib2Codec::encode_with_prep(const PrepPlan& plan, std::span<const float> 
   std::lock_guard<std::mutex> lock(p->mu);
   if (!p->lift_cached || p->lift_d != decimal_scale_) {
     p->lift_cached = false;  // a throw below must not leave a stale memo
-    const double dec_scale = std::pow(10.0, decimal_scale_);
-    int binary_scale = 0;
-    while (std::ldexp((p->hi - p->lo) * dec_scale, -binary_scale) >
-           static_cast<double>(kMaxQuantized)) {
-      if (++binary_scale > 62) {
-        throw InvalidArgument("grib2 data range too wide for decimal scale");
-      }
-    }
-    const double step = std::ldexp(1.0, binary_scale) / dec_scale;
-
+    const int binary_scale = binary_scale_for(p->lo, p->hi, decimal_scale_);
     p->lift_q.resize(n);
     kernels::grib2_quantize(data.data(), p->any_missing ? p->valid.data() : nullptr,
-                            p->lift_q.data(), n, p->lo, step);
+                            p->lift_q.data(), n, p->lo,
+                            quantization_step(binary_scale, decimal_scale_));
     const Dims2 dims = to_dims2(shape);
     p->lift_levels = dwt53_forward_2d(p->lift_q, dims.rows, dims.cols, 5);
     p->lift_bscale = binary_scale;
@@ -340,6 +333,43 @@ Bytes Grib2Codec::encode_with_prep(const PrepPlan& plan, std::span<const float> 
   }
   enc.finish();
   return out;
+}
+
+void Grib2Codec::reconstruct_into(std::span<const float> data, const Shape& shape,
+                                  const PrepPlan* plan, std::span<float> out) const {
+  if (!wire::reconstructible(shape, data.size(), out.size())) {
+    Codec::reconstruct_into(data, shape, plan, out);
+    return;
+  }
+  GribScan own;
+  const std::uint8_t* valid = nullptr;  // null: every point is valid
+  double lo = 0.0, hi = 0.0;
+  if (plan != nullptr) {
+    const auto* p = dynamic_cast<const GribPlan*>(plan);
+    CESM_REQUIRE(p != nullptr && p->n == data.size());
+    if (p->any_missing) valid = p->valid.data();
+    lo = p->lo;
+    hi = p->hi;
+  } else {
+    own = scan_field(data, missing_value_);
+    if (own.any_missing) valid = own.valid.data();
+    lo = own.lo;
+    hi = own.hi;
+  }
+  const int binary_scale = binary_scale_for(lo, hi, decimal_scale_);
+  (void)to_dims2(shape);  // encode()'s rank check, after the same scans
+  const double step = quantization_step(binary_scale, decimal_scale_);
+
+  // Quantize, then dequantize exactly as decode() does: the wavelet lift
+  // and the coefficient coder between the two are lossless.
+  const std::size_t n = data.size();
+  std::vector<std::int64_t> q(n);
+  kernels::grib2_quantize(data.data(), valid, q.data(), n, lo, step);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = valid != nullptr && valid[i] == 0
+                 ? *missing_value_
+                 : static_cast<float>(lo + static_cast<double>(q[i]) * step);
+  }
 }
 
 int choose_decimal_scale(double min_value, double max_value, int significant_digits) {

@@ -58,6 +58,13 @@ class Grib2Codec final : public Codec {
   [[nodiscard]] Bytes encode_with_prep(const PrepPlan& plan, std::span<const float> data,
                                        const Shape& shape) const override;
 
+  /// Reconstruct-only: the same bitmap/range scan, binary-scale search and
+  /// quantization as encode(), then decode()'s dequantization with fills
+  /// restored — no 5/3 lift, no coefficient coder (both are lossless).
+  /// Reuses the plan's scan when given one.
+  void reconstruct_into(std::span<const float> data, const Shape& shape,
+                        const PrepPlan* plan, std::span<float> out) const override;
+
   [[nodiscard]] int decimal_scale() const { return decimal_scale_; }
 
  private:

@@ -316,4 +316,36 @@ Bytes IsabelaCodec::encode_with_prep(const PrepPlan& plan, std::span<const float
   return out;
 }
 
+void IsabelaCodec::reconstruct_into(std::span<const float> data, const Shape& shape,
+                                    const PrepPlan* plan, std::span<float> out) const {
+  if (!wire::reconstructible(shape, data.size(), out.size())) {
+    Codec::reconstruct_into(data, shape, plan, out);
+    return;
+  }
+  PrepPlanPtr own;
+  if (plan == nullptr) {
+    own = build_prep(data, shape);
+    plan = own.get();
+  }
+  const auto* p = dynamic_cast<const IsaPlan*>(plan);
+  CESM_REQUIRE(p != nullptr && p->n == data.size());
+  const double eps_frac = rel_error_percent_ / 100.0;
+  CESM_REQUIRE(eps_frac > 0.0 && eps_frac < 1.0);
+
+  // The corrections decode() would read back, applied without coding
+  // them: estimate + round(diff / step) * step, scattered through the
+  // window's sort permutation.
+  std::size_t lo = 0;
+  for (const IsaWindow& win : p->windows) {
+    const std::size_t len = win.sorted.size();
+    for (std::size_t i = 0; i < len; ++i) {
+      const double step = correction_step(win.estimate[i], eps_frac, win.floor_abs);
+      const double diff = static_cast<double>(win.sorted[i]) - win.estimate[i];
+      const auto m = static_cast<std::int64_t>(std::llround(diff / step));
+      out[lo + win.perm[i]] = static_cast<float>(win.estimate[i] + static_cast<double>(m) * step);
+    }
+    lo += len;
+  }
+}
+
 }  // namespace cesm::comp

@@ -54,6 +54,12 @@ class IsabelaCodec final : public Codec {
   [[nodiscard]] Bytes encode_with_prep(const PrepPlan& plan, std::span<const float> data,
                                        const Shape& shape) const override;
 
+  /// Reconstruct-only: spline estimate plus the quantized corrections,
+  /// scattered through each window's sort permutation — no permutation
+  /// packing, no correction coder. Sorts and fits itself without a plan.
+  void reconstruct_into(std::span<const float> data, const Shape& shape,
+                        const PrepPlan* plan, std::span<float> out) const override;
+
   [[nodiscard]] double rel_error_percent() const { return rel_error_percent_; }
   [[nodiscard]] std::size_t window() const { return window_; }
 

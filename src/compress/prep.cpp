@@ -12,40 +12,54 @@ PlanStore::PlanStore(std::size_t cap_bytes, util::MemoryBudget* budget)
 
 PlanStore::~PlanStore() { clear(); }
 
-Bytes PlanStore::encode(const Codec& codec, std::span<const float> data,
-                        const Shape& shape, std::uint64_t block) {
-  if (cap_bytes_ == 0) return codec.encode(data, shape);
+PrepPlanPtr PlanStore::plan_for(const Codec& codec, std::span<const float> data,
+                               const Shape& shape, std::uint64_t block) {
+  if (cap_bytes_ == 0) return nullptr;
   const std::string key = codec.prep_key();
-  if (key.empty()) return codec.encode(data, shape);
+  if (key.empty()) return nullptr;
   const std::string full = key + '#' + std::to_string(block);
 
   PrepPlanPtr plan = lookup(full);
-  if (plan == nullptr) {
-    try {
-      CESM_FAILPOINT("comp.prep_plan");
-      plan = codec.build_prep(data, shape);
-    } catch (const InvalidArgument&) {
-      // Exception parity: build_prep validates its input exactly like
-      // encode() would, so the direct path is guaranteed to throw the
-      // same error — propagate it rather than encoding twice.
-      throw;
-    } catch (const Error&) {
-      // Injected plan-stage fault (or any other plan-only failure): the
-      // sweep must not be poisoned — fall back to the direct encode.
-      trace::counter_add("prep.plan_faults", 1);
-      return codec.encode(data, shape);
-    }
-    if (plan == nullptr) return codec.encode(data, shape);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++built_;
-    }
-    trace::counter_add("prep.plan_built", 1);
-    insert(full, plan);
-  } else {
+  if (plan != nullptr) {
     trace::counter_add("prep.plan_reused", 1);
+    return plan;
   }
-  return codec.encode_with_prep(*plan, data, shape);
+  try {
+    CESM_FAILPOINT("comp.prep_plan");
+    plan = codec.build_prep(data, shape);
+  } catch (const InvalidArgument&) {
+    // Exception parity: build_prep validates its input exactly like
+    // encode() would, so the direct path is guaranteed to throw the
+    // same error — propagate it rather than encoding twice.
+    throw;
+  } catch (const Error&) {
+    // Injected plan-stage fault (or any other plan-only failure): the
+    // sweep must not be poisoned — fall back to the direct path.
+    trace::counter_add("prep.plan_faults", 1);
+    return nullptr;
+  }
+  if (plan == nullptr) return nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++built_;
+  }
+  trace::counter_add("prep.plan_built", 1);
+  insert(full, plan);
+  return plan;
+}
+
+Bytes PlanStore::encode(const Codec& codec, std::span<const float> data,
+                        const Shape& shape, std::uint64_t block) {
+  const PrepPlanPtr plan = plan_for(codec, data, shape, block);
+  return plan != nullptr ? codec.encode_with_prep(*plan, data, shape)
+                         : codec.encode(data, shape);
+}
+
+void PlanStore::reconstruct_into(const Codec& codec, std::span<const float> data,
+                                 const Shape& shape, std::uint64_t block,
+                                 std::span<float> out) {
+  const PrepPlanPtr plan = plan_for(codec, data, shape, block);
+  codec.reconstruct_into(data, shape, plan.get(), out);
 }
 
 void PlanStore::clear() {

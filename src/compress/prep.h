@@ -8,8 +8,10 @@
 // per-window sort + spline fit, GRIB2's valid bitmap + range scan and
 // per-scale wavelet lift — is recomputed from scratch for each variant on
 // the direct path. PlanStore memoizes that stage per (prep_key, block):
-// the first variant of a family to encode a block builds the plan, and
-// every later variant with the same prep_key reuses it.
+// the first variant of a family to encode (or reconstruct) a block builds
+// the plan, and every later variant with the same prep_key reuses it —
+// the reconstruct-only bias sweep (Codec::reconstruct_into) shares one
+// ISABELA sort + fit per member across ISA-0.1/0.5/1.0 this way.
 //
 // Contract (enforced by tests/compress/test_prep_parity.cpp and the
 // bench_suite parity gate): a plan-driven encode is byte-identical to the
@@ -57,6 +59,17 @@ class PlanStore {
   /// codec.encode(data, shape) in both output and thrown argument errors.
   [[nodiscard]] Bytes encode(const Codec& codec, std::span<const float> data,
                              const Shape& shape, std::uint64_t block);
+
+  /// codec.reconstruct_into with the same plan encode() would use for
+  /// `block`: bit-identical to decoding encode()'s stream into `out`.
+  void reconstruct_into(const Codec& codec, std::span<const float> data,
+                        const Shape& shape, std::uint64_t block, std::span<float> out);
+
+  /// The family plan for `block`: cached, or built and cached. Null means
+  /// "take the direct path" — planning disabled (cap 0), an unplannable
+  /// codec, or a plan-stage fault. Input-validation errors propagate.
+  [[nodiscard]] PrepPlanPtr plan_for(const Codec& codec, std::span<const float> data,
+                                     const Shape& shape, std::uint64_t block);
 
   /// Drop every cached plan, releasing any budget charges.
   void clear();

@@ -150,6 +150,31 @@ Bytes SpecialValueCodec::encode_with_prep(const PrepPlan& plan,
   return out;
 }
 
+void SpecialValueCodec::reconstruct_into(std::span<const float> data, const Shape& shape,
+                                         const PrepPlan* plan, std::span<float> out) const {
+  if (!wire::reconstructible(shape, data.size(), out.size())) {
+    Codec::reconstruct_into(data, shape, plan, out);
+    return;
+  }
+  std::vector<float> own;
+  std::span<const float> patched;
+  const PrepPlan* inner_plan = nullptr;
+  if (plan != nullptr) {
+    const auto* p = dynamic_cast<const SpecialPlan*>(plan);
+    CESM_REQUIRE(p != nullptr && p->patched.size() == data.size());
+    patched = p->patched;
+    inner_plan = p->inner.get();
+  } else {
+    own.assign(data.begin(), data.end());
+    (void)patch_fill_values(own, fill_);
+    patched = own;
+  }
+  inner_->reconstruct_into(patched, shape, inner_plan, out);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    if (data[i] == fill_) out[i] = fill_;
+  }
+}
+
 std::vector<float> SpecialValueCodec::decode(std::span<const std::uint8_t> stream) const {
   CESM_FAILPOINT("special.decode");
   ByteReader r(stream);

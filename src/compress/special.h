@@ -39,6 +39,11 @@ class SpecialValueCodec final : public Codec {
   [[nodiscard]] Bytes encode_with_prep(const PrepPlan& plan, std::span<const float> data,
                                        const Shape& shape) const override;
 
+  /// Patch the fills, reconstruct the patched field through the inner
+  /// codec (with the plan's inner plan when given one), restore the fills.
+  void reconstruct_into(std::span<const float> data, const Shape& shape,
+                        const PrepPlan* plan, std::span<float> out) const override;
+
   [[nodiscard]] float fill_value() const { return fill_; }
   [[nodiscard]] const Codec& inner() const { return *inner_; }
 

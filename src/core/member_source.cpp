@@ -45,6 +45,18 @@ double ResidentMembers::round_trip(const comp::Codec& codec, std::size_t m,
   return comp::compression_ratio(stream.size(), original.size());
 }
 
+void ResidentMembers::reconstruct(const comp::Codec& codec, std::size_t m,
+                                  comp::PlanStore* plans, const ChunkVisitor& visit) const {
+  const climate::Field& original = stats_.member(m);
+  BufferPool::Lease recon(recon_);
+  if (plans != nullptr) {
+    plans->reconstruct_into(codec, original.data, original.shape, m, recon.span());
+  } else {
+    codec.reconstruct_into(original.data, original.shape, nullptr, recon.span());
+  }
+  visit(0, original.data, recon.span());
+}
+
 double ResidentMembers::encoded_cr(const comp::Codec& codec, std::size_t m,
                                    comp::PlanStore* plans) const {
   return comp::compression_ratio(encode(codec, m, plans).size(), stats_.member(m).size());

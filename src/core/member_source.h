@@ -9,9 +9,10 @@
 // a way to round-trip member m through a codec. A MemberSource provides
 // both. The round trip hands each (original, reconstructed) chunk pair to
 // a visitor together with its element offset, in order, and returns the
-// compression ratio; the pipeline feeds the pairs to the streaming kernels
-// (stats/kernels.h), which reproduce the one-shot accumulators bit for bit
-// for any chunk partition.
+// compression ratio; a reconstruction (the bias sweep's path) hands over
+// the same pairs without producing a stream. The pipeline feeds the pairs
+// to the streaming kernels (stats/kernels.h), which reproduce the one-shot
+// accumulators bit for bit for any chunk partition.
 //
 // Two sources exist. ResidentMembers (below) serves members held in an
 // EnsembleStats: the whole field is one chunk, encoded through the codec as
@@ -100,6 +101,13 @@ class MemberSource {
   [[nodiscard]] virtual double encoded_cr(const comp::Codec& codec, std::size_t m,
                                           comp::PlanStore* plans) const = 0;
 
+  /// Reconstruct member m through `codec` without producing a stream
+  /// (Codec::reconstruct_into, plan-driven when `plans` is non-null) and
+  /// pass every chunk pair to `visit` in offset order. The pairs are
+  /// bit-identical to round_trip()'s; there is no CR and no decode.
+  virtual void reconstruct(const comp::Codec& codec, std::size_t m,
+                           comp::PlanStore* plans, const ChunkVisitor& visit) const = 0;
+
  protected:
   /// Captures the statistics of an EnsembleStats-shaped object, which
   /// must outlive the source.
@@ -132,6 +140,8 @@ class ResidentMembers final : public MemberSource {
                     const ChunkVisitor& visit) const override;
   [[nodiscard]] double encoded_cr(const comp::Codec& codec, std::size_t m,
                                   comp::PlanStore* plans) const override;
+  void reconstruct(const comp::Codec& codec, std::size_t m, comp::PlanStore* plans,
+                   const ChunkVisitor& visit) const override;
 
  private:
   [[nodiscard]] Bytes encode(const comp::Codec& codec, std::size_t m,

@@ -397,11 +397,12 @@ SpillSession::~SpillSession() {
 namespace {
 
 /// Members staged in a CNK1 chunk store, scored against their streamed
-/// statistics. A round trip walks the member's chunks double-buffered,
-/// encodes each through the wrapped ChunkedCodec's inner codec (plans keyed
-/// per (member, chunk), so every variant of a family reuses the chunk's
-/// variant-invariant stage), and sizes the CR with packed_stream_bytes —
-/// the byte count of the in-core chunked container for the same partition.
+/// statistics. Every member operation walks the member's chunks
+/// double-buffered and runs each through the wrapped ChunkedCodec's inner
+/// codec, with plans keyed per (member, chunk) so every variant of a
+/// family reuses the chunk's variant-invariant stage. Round trips size the
+/// CR with packed_stream_bytes — the byte count of the in-core chunked
+/// container for the same partition; reconstructions skip the stream.
 class SpilledMembers final : public MemberSource {
  public:
   SpilledMembers(const ncio::ChunkStoreReader& store, const StreamingStats& stats)
@@ -417,41 +418,67 @@ class SpilledMembers final : public MemberSource {
   }
   double round_trip(const comp::Codec& codec, std::size_t m, comp::PlanStore* plans,
                     const ChunkVisitor& visit) const override {
-    return walk(codec, m, plans, &visit);
+    return encode_walk(codec, m, plans, &visit);
   }
   [[nodiscard]] double encoded_cr(const comp::Codec& codec, std::size_t m,
                                   comp::PlanStore* plans) const override {
-    return walk(codec, m, plans, nullptr);
+    return encode_walk(codec, m, plans, nullptr);
+  }
+  void reconstruct(const comp::Codec& codec, std::size_t m, comp::PlanStore* plans,
+                   const ChunkVisitor& visit) const override {
+    walk(codec, m,
+         [&](const comp::Codec& inner, std::size_t lo, std::span<const float> x,
+             const comp::Shape& cs, std::uint64_t block, std::span<float> out) {
+           if (plans != nullptr) {
+             plans->reconstruct_into(inner, x, cs, block, out);
+           } else {
+             inner.reconstruct_into(x, cs, nullptr, out);
+           }
+           visit(lo, x, out);
+         });
   }
 
  private:
-  /// Encode member m chunk by chunk; with a visitor, also decode each
-  /// chunk and hand it the pair. Returns the whole member's CR.
-  double walk(const comp::Codec& codec, std::size_t m, comp::PlanStore* plans,
-              const ChunkVisitor* visit) const {
+  /// Call process(inner codec, offset, chunk, chunk shape, plan block,
+  /// reconstruction slab) for every chunk of member m in store order.
+  template <typename Process>
+  void walk(const comp::Codec& codec, std::size_t m, Process&& process) const {
     CESM_REQUIRE(m < member_count());
     const auto* chunked = dynamic_cast<const comp::ChunkedCodec*>(&codec);
     CESM_REQUIRE(chunked != nullptr);
-    const comp::Codec& inner = *chunked->inner();
     const std::vector<std::size_t>& offsets = store_.chunk_offsets();
-    std::vector<std::size_t> sizes(store_.chunk_count());
     BufferPool::Lease lease(buffers_);
     const std::span<float> buf = lease.span();
     const std::uint64_t first_block = static_cast<std::uint64_t>(m) * store_.chunk_count();
-    const auto process = [&](std::size_t c, std::span<const float> x) {
-      const comp::Shape cs = chunked->chunk_shape(store_.shape(), offsets[c], offsets[c + 1]);
-      const Bytes stream = plans != nullptr ? plans->encode(inner, x, cs, first_block + c)
-                                            : inner.encode(x, cs);
-      sizes[c] = stream.size();
-      if (visit != nullptr) {
-        const std::span<float> out = buf.subspan(2 * max_chunk_, x.size());
-        inner.decode_into(stream, out);
-        (*visit)(offsets[c], x, out);
-      }
-    };
     walk_member_chunks(store_, static_cast<std::uint32_t>(m), buf.first(max_chunk_),
-                       buf.subspan(max_chunk_, max_chunk_), process);
-    return comp::compression_ratio(chunked->packed_stream_bytes(store_.shape(), sizes),
+                       buf.subspan(max_chunk_, max_chunk_),
+                       [&](std::size_t c, std::span<const float> x) {
+                         process(*chunked->inner(), offsets[c], x,
+                                 chunked->chunk_shape(store_.shape(), offsets[c],
+                                                      offsets[c + 1]),
+                                 first_block + c, buf.subspan(2 * max_chunk_, x.size()));
+                       });
+  }
+
+  /// Encode member m chunk by chunk; with a visitor, also decode each
+  /// chunk and hand it the pair. Returns the whole member's CR.
+  double encode_walk(const comp::Codec& codec, std::size_t m, comp::PlanStore* plans,
+                     const ChunkVisitor* visit) const {
+    std::vector<std::size_t> sizes(store_.chunk_count());
+    std::size_t c = 0;
+    walk(codec, m,
+         [&](const comp::Codec& inner, std::size_t lo, std::span<const float> x,
+             const comp::Shape& cs, std::uint64_t block, std::span<float> out) {
+           const Bytes stream =
+               plans != nullptr ? plans->encode(inner, x, cs, block) : inner.encode(x, cs);
+           sizes[c++] = stream.size();
+           if (visit != nullptr) {
+             inner.decode_into(stream, out);
+             (*visit)(lo, x, out);
+           }
+         });
+    const auto& chunked = dynamic_cast<const comp::ChunkedCodec&>(codec);
+    return comp::compression_ratio(chunked.packed_stream_bytes(store_.shape(), sizes),
                                    store_.total_elems());
   }
 

@@ -121,12 +121,12 @@ MemberEvaluation PvtVerifier::evaluate_member(const comp::Codec& codec,
 double PvtVerifier::reconstructed_rmsz_of(const comp::Codec& codec,
                                           std::size_t member) const {
   stats::kernels::ZScoreStream zs = zscore_stream(*source_);
-  (void)source_->round_trip(
+  source_->reconstruct(
       codec, member, plans_,
       [&](std::size_t lo, std::span<const float> x, std::span<const float> y) {
         feed_zscores(zs, *source_, lo, x, y);
       });
-  trace::counter_add("pvt.member_roundtrips", 1);
+  trace::counter_add("pvt.member_reconstructs", 1);
   return rmsz_from_accum(zs.finish());
 }
 

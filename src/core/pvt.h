@@ -10,7 +10,9 @@
 //                      ensemble E_nmax range (eq. 11);
 //   4. bias test     — eq. (9) over all members (see core/bias.h).
 // Tests 1–3 run on a small set of randomly chosen members (the paper uses
-// three); the bias test compresses the whole ensemble. Members come from a
+// three); the bias test scores the reconstruction of every member, through
+// Codec::reconstruct_into — bit-identical to a round trip, without the
+// stream (so no CR and no decode-side faults). Members come from a
 // MemberSource (core/member_source.h), so this one implementation serves
 // both resident and spilled ensembles.
 
@@ -96,8 +98,9 @@ class PvtVerifier {
   [[nodiscard]] MemberEvaluation evaluate_member(const comp::Codec& codec,
                                                  std::size_t member) const;
 
-  /// Full verdict: tests 1–3 on `test_members`, bias over all members
-  /// when `run_bias` (compresses the whole ensemble; parallelized).
+  /// Full verdict: tests 1–3 on `test_members` (full round trips), bias
+  /// over all members when `run_bias` (reconstructs the rest of the
+  /// ensemble; parallelized).
   ///
   /// The steady-state loop (same verifier, successive codecs) reuses a
   /// scratch arena for its per-member bookkeeping and the source's
@@ -128,15 +131,17 @@ class PvtVerifier {
   [[nodiscard]] const PvtThresholds& thresholds() const { return thresholds_; }
 
  private:
-  /// One member's reconstructed RMSZ (the bias sweep's per-member score).
+  /// One member's reconstructed RMSZ (the bias sweep's per-member score),
+  /// from MemberSource::reconstruct — no stream, CR or decode.
   [[nodiscard]] double reconstructed_rmsz_of(const comp::Codec& codec,
                                              std::size_t member) const;
 
   /// Fill `scores` (one slot per member) with the reconstructed-ensemble
   /// RMSZ; the allocation-free core of reconstructed_rmsz(). Members
   /// already scored by `known` evaluations (the verify() test members)
-  /// are seeded from eval.rmsz_reconstructed instead of being compressed
-  /// again — codecs are deterministic, so the reused score is bit-exact.
+  /// are seeded from eval.rmsz_reconstructed instead of being reconstructed
+  /// again — codecs are deterministic and reconstruct_into is bit-identical
+  /// to the round trip, so the reused score is bit-exact.
   void reconstructed_rmsz_into(const comp::Codec& codec, std::span<double> scores,
                                std::span<const MemberEvaluation> known) const;
 

@@ -30,6 +30,11 @@ thread_local std::size_t t_worker_index = 0;
 thread_local int t_help_depth = 0;
 constexpr int kMaxHelpDepth = 64;
 
+// Depth of tasks executing on this thread. A task run inside another
+// task's help-first join is already covered by the outer task's wall
+// time, so only the outermost task adds to busy_ns.
+thread_local int t_task_depth = 0;
+
 // A parked at-cap waiter escapes (helps anyway, accepting stack growth)
 // after this many consecutive empty timeouts, so "every thread is at the
 // help cap" can never deadlock with runnable tasks still queued.
@@ -244,11 +249,13 @@ struct Scheduler::Impl {
   }
 
   /// Execute one task under its group's exception capture and account its
-  /// wall time to the calling thread's counter slot.
+  /// wall time to the calling thread's counter slot — once per thread:
+  /// nested tasks are inside the outermost one's interval.
   void run_task(Task* task, bool from_wait) {
     SourceCounters& c = counters_here();
     if (from_wait) c.helped.fetch_add(1, std::memory_order_relaxed);
-    const std::uint64_t t0 = now_ns();
+    const bool outermost = t_task_depth++ == 0;
+    const std::uint64_t t0 = outermost ? now_ns() : 0;
     TaskGroup* group = task->group;
     try {
       // Inside the capture block: an injected fault takes the exact path a
@@ -258,7 +265,8 @@ struct Scheduler::Impl {
     } catch (...) {
       group->capture(std::current_exception());
     }
-    c.busy_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
+    --t_task_depth;
+    if (outermost) c.busy_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
     group->finish_one();
   }
 };

@@ -166,10 +166,11 @@ TEST_F(PvtTest, SteadyStateVerifyLoopIsAllocationFree) {
 }
 
 TEST_F(PvtTest, BiasSweepReusesTestMemberScoresWithoutRecompressing) {
-  // Each verify(run_bias=true) must round-trip every member exactly once:
-  // the bias sweep reuses the test members' reconstructed RMSZ from
-  // evaluate_member instead of compressing them a second time. Counted
-  // two independent ways — the pvt.member_roundtrips trace counter and
+  // Each verify(run_bias=true) round-trips only the test members: the bias
+  // sweep reuses their reconstructed RMSZ from evaluate_member and scores
+  // every other member through the reconstruct-only hook, which never
+  // produces or decodes a stream. Counted two independent ways — the
+  // pvt.member_roundtrips / pvt.member_reconstructs trace counters and
   // the fpz.decode failpoint hit count (armed with prob:0.0 so it counts
   // without ever firing).
   const comp::FpzCodec codec(24);
@@ -189,10 +190,13 @@ TEST_F(PvtTest, BiasSweepReusesTestMemberScoresWithoutRecompressing) {
   const std::uint64_t member_count = stats_.member_count();  // 21
   const auto roundtrips = counters.find("pvt.member_roundtrips");
   ASSERT_NE(roundtrips, counters.end());
-  EXPECT_EQ(roundtrips->second, member_count)
-      << "expected one round trip per member; the old pipeline did "
-      << member_count + members_.size() << " (test members compressed twice)";
-  EXPECT_EQ(decodes, member_count);
+  EXPECT_EQ(roundtrips->second, members_.size())
+      << "expected one round trip per test member only";
+  const auto reconstructs = counters.find("pvt.member_reconstructs");
+  ASSERT_NE(reconstructs, counters.end());
+  EXPECT_EQ(reconstructs->second, member_count - members_.size())
+      << "expected one reconstruction per non-test member";
+  EXPECT_EQ(decodes, members_.size());
   const auto reused = counters.find("pvt.bias_reused");
   ASSERT_NE(reused, counters.end());
   EXPECT_EQ(reused->second, members_.size());

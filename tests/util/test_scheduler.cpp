@@ -328,5 +328,35 @@ TEST(SchedulerStats, StealRatioAndBusyTimeArePopulated) {
   EXPECT_LE(stats.steal_ratio(), 1.0);
 }
 
+TEST(SchedulerStats, NestedHelpJoinsDoNotDoubleCountBusyTime) {
+  // Outer tasks join inner loops help-first, so workers run inner tasks
+  // nested inside outer ones. Busy time is wall time per thread, counted
+  // once: the sum can never exceed (workers + the calling thread) x the
+  // elapsed time of the whole region.
+  constexpr std::size_t kWorkers = 4;
+  ScopedScheduler scoped(kWorkers);
+  Scheduler& sched = scoped.scheduler();
+  sched.reset_stats();
+  std::atomic<int> counter{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  parallel_for(0, 8, [&](std::size_t) {
+    parallel_for(0, 16, [&](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      counter.fetch_add(1);
+    });
+  });
+  const auto elapsed_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+  const SchedulerStats stats = sched.stats();
+  EXPECT_EQ(counter.load(), 8 * 16);
+  EXPECT_GT(stats.helped, 0u);
+  EXPECT_GT(stats.total_busy_ns(), 0u);
+  // 2% slack for the clock reads bracketing each task.
+  EXPECT_LE(static_cast<double>(stats.total_busy_ns()),
+            1.02 * static_cast<double>((kWorkers + 1) * elapsed_ns));
+}
+
 }  // namespace
 }  // namespace cesm
