@@ -1,16 +1,13 @@
-// Codec throughput benchmark: encode/decode MB/s for each codec family
-// with the scalar reference kernels and with the vectorized kernels
-// (simd.h), on CAM-like data (the per-element cost behind Table 5), plus
-// the time of the reconstruct-only hook (Codec::reconstruct_into) the
+// Codec throughput benchmark: encode, decode and reconstruct MB/s for each
+// codec family on CAM-like data (the per-element cost behind Table 5).
+// "Reconstruct" is the reconstruct-only hook (Codec::reconstruct_into) the
 // bias sweep scores with.
 //
-// Every measured pair is also a parity check: the scalar-mode and
-// simd-mode streams must be byte-identical, the decodes bit-identical,
-// and in each mode reconstruct_into must equal the decode of the encode,
-// or the run exits nonzero — a throughput number from a kernel that
-// changes the result is worthless. Output: a table on stdout and
-// BENCH_codecs.json (override with --out=PATH); --quick shrinks the field
-// and repeat count for CI smoke runs.
+// Every codec is also a parity check: reconstruct_into must equal the
+// decode of the encode bit for bit, or the run exits nonzero — a throughput
+// number from a hook that changes the result is worthless. Output: a table
+// on stdout and BENCH_codecs.json (override with --out=PATH); --quick
+// shrinks the field and repeat count for CI smoke runs.
 
 #include <cmath>
 #include <cstdio>
@@ -22,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "compress/simd.h"
 #include "util/memory.h"
 #include "compress/variants.h"
 #include "util/rng.h"
@@ -37,11 +33,9 @@ volatile std::size_t g_sink = 0;
 
 struct CodecResult {
   std::string name;
-  double scalar_encode_s = 0.0;
-  double simd_encode_s = 0.0;
-  double scalar_decode_s = 0.0;
-  double simd_decode_s = 0.0;
-  double reconstruct_s = 0.0;  ///< reconstruct_into, simd mode
+  double encode_s = 0.0;
+  double decode_s = 0.0;
+  double reconstruct_s = 0.0;  ///< reconstruct_into
   std::size_t bytes_in = 0;
   std::size_t bytes_out = 0;
   bool parity = true;
@@ -49,8 +43,6 @@ struct CodecResult {
   [[nodiscard]] double mbps(double seconds) const {
     return static_cast<double>(bytes_in) / seconds * 1e-6;
   }
-  [[nodiscard]] double encode_speedup() const { return scalar_encode_s / simd_encode_s; }
-  [[nodiscard]] double decode_speedup() const { return scalar_decode_s / simd_decode_s; }
 };
 
 /// Best-of-`reps` wall time of one repeated call (one warmup pass first).
@@ -93,8 +85,6 @@ void write_json(std::ofstream& out, const std::vector<CodecResult>& results,
       << "  \"effective_workers\": " << (hw == 0 ? threads : std::min<std::size_t>(threads, hw))
       << ",\n"
       << "  \"oversubscribed\": " << (hw != 0 && threads > hw ? "true" : "false") << ",\n"
-      << "  \"simd_supported\": " << (comp::simd::simd_supported() ? "true" : "false")
-      << ",\n"
       << "  \"parity\": " << (parity ? "true" : "false") << ",\n"
       << "  \"peak_rss_bytes\": " << util::peak_rss_bytes() << ",\n"
       << "  \"suite_seconds\": " << suite_seconds << ",\n"
@@ -102,13 +92,9 @@ void write_json(std::ofstream& out, const std::vector<CodecResult>& results,
   for (std::size_t i = 0; i < results.size(); ++i) {
     const CodecResult& r = results[i];
     out << "    {\"name\": \"" << r.name << "\", "
-        << "\"scalar_encode_mbps\": " << r.mbps(r.scalar_encode_s) << ", "
-        << "\"simd_encode_mbps\": " << r.mbps(r.simd_encode_s) << ", "
-        << "\"encode_speedup\": " << r.encode_speedup() << ", "
-        << "\"scalar_decode_mbps\": " << r.mbps(r.scalar_decode_s) << ", "
-        << "\"simd_decode_mbps\": " << r.mbps(r.simd_decode_s) << ", "
-        << "\"decode_speedup\": " << r.decode_speedup() << ", "
-        << "\"reconstruct_ms\": " << r.reconstruct_s * 1e3 << ", "
+        << "\"encode_mbps\": " << r.mbps(r.encode_s) << ", "
+        << "\"decode_mbps\": " << r.mbps(r.decode_s) << ", "
+        << "\"reconstruct_mbps\": " << r.mbps(r.reconstruct_s) << ", "
         << "\"compression_ratio\": "
         << static_cast<double>(r.bytes_out) / static_cast<double>(r.bytes_in) << ", "
         << "\"parity\": " << (r.parity ? "true" : "false") << "}"
@@ -151,73 +137,39 @@ int main(int argc, char** argv) {
   std::vector<CodecResult> results;
   bool all_parity = true;
   std::vector<float> recon(n);
-  // reconstruct_into must reproduce the mode's own decode bit for bit.
-  const auto reconstruct_matches = [&](const comp::Codec& codec,
-                                       const std::vector<float>& decoded) {
-    codec.reconstruct_into(data, shape, nullptr, recon);
-    return decoded.size() == recon.size() &&
-           std::memcmp(decoded.data(), recon.data(), recon.size() * sizeof(float)) == 0;
-  };
   for (const char* variant : variants) {
     const comp::CodecPtr codec = comp::make_variant(variant);
     CodecResult r;
     r.name = variant;
     r.bytes_in = n * sizeof(float);
 
-    Bytes scalar_stream, simd_stream;
-    std::vector<float> scalar_out, simd_out;
-    bool recon_parity = true;
-    {
-      comp::simd::ScopedMode scoped(comp::simd::Mode::kScalar);
-      scalar_stream = codec->encode(data, shape);
-      scalar_out = codec->decode(scalar_stream);
-      recon_parity = reconstruct_matches(*codec, scalar_out);
-      r.scalar_encode_s =
-          best_of(reps, [&] { return codec->encode(data, shape).size(); });
-      r.scalar_decode_s =
-          best_of(reps, [&] { return codec->decode(scalar_stream).size(); });
-    }
-    {
-      comp::simd::ScopedMode scoped(comp::simd::Mode::kSimd);
-      simd_stream = codec->encode(data, shape);
-      simd_out = codec->decode(scalar_stream);
-      recon_parity = recon_parity && reconstruct_matches(*codec, simd_out);
-      r.simd_encode_s = best_of(reps, [&] { return codec->encode(data, shape).size(); });
-      r.simd_decode_s =
-          best_of(reps, [&] { return codec->decode(scalar_stream).size(); });
-      r.reconstruct_s = best_of(reps, [&] {
-        codec->reconstruct_into(data, shape, nullptr, recon);
-        return recon.size();
-      });
-    }
-    r.bytes_out = scalar_stream.size();
-    r.parity = recon_parity && scalar_stream == simd_stream &&
-               scalar_out.size() == simd_out.size() &&
-               std::memcmp(scalar_out.data(), simd_out.data(),
-                           scalar_out.size() * sizeof(float)) == 0;
+    const Bytes stream = codec->encode(data, shape);
+    const std::vector<float> decoded = codec->decode(stream);
+    codec->reconstruct_into(data, shape, nullptr, recon);
+    r.parity = decoded.size() == recon.size() &&
+               std::memcmp(decoded.data(), recon.data(), recon.size() * sizeof(float)) == 0;
+    r.encode_s = best_of(reps, [&] { return codec->encode(data, shape).size(); });
+    r.decode_s = best_of(reps, [&] { return codec->decode(stream).size(); });
+    r.reconstruct_s = best_of(reps, [&] {
+      codec->reconstruct_into(data, shape, nullptr, recon);
+      return recon.size();
+    });
+    r.bytes_out = stream.size();
     all_parity = all_parity && r.parity;
     results.push_back(r);
   }
   const double suite_seconds = suite_clock.seconds();
 
-  std::printf("%-10s %14s %14s %8s %14s %14s %8s %11s %7s\n", "codec", "enc scalar",
-              "enc simd", "enc x", "dec scalar", "dec simd", "dec x", "reconstruct",
-              "parity");
+  std::printf("%-10s %14s %14s %14s %7s\n", "codec", "encode", "decode",
+              "reconstruct", "parity");
   for (const CodecResult& r : results) {
-    std::printf(
-        "%-10s %9.1f MB/s %9.1f MB/s %7.2fx %9.1f MB/s %9.1f MB/s %7.2fx %8.2f ms %7s\n",
-        r.name.c_str(), r.mbps(r.scalar_encode_s), r.mbps(r.simd_encode_s),
-        r.encode_speedup(), r.mbps(r.scalar_decode_s), r.mbps(r.simd_decode_s),
-        r.decode_speedup(), r.reconstruct_s * 1e3, r.parity ? "ok" : "FAIL");
+    std::printf("%-10s %9.1f MB/s %9.1f MB/s %9.1f MB/s %7s\n", r.name.c_str(),
+                r.mbps(r.encode_s), r.mbps(r.decode_s), r.mbps(r.reconstruct_s),
+                r.parity ? "ok" : "FAIL");
   }
-  std::printf("kernel modes: scalar vs %s (simd %ssupported)  n=%zu reps=%d%s\n",
-              comp::simd::mode_name(comp::simd::Mode::kSimd),
-              comp::simd::simd_supported() ? "" : "NOT ", n, reps,
-              quick ? " quick" : "");
+  std::printf("n=%zu reps=%d%s\n", n, reps, quick ? " quick" : "");
   if (!all_parity) {
-    std::fprintf(stderr,
-                 "PARITY FAILURE: simd stream or decode differs from scalar, or "
-                 "reconstruct_into differs from decode(encode)\n");
+    std::fprintf(stderr, "PARITY FAILURE: reconstruct_into differs from decode(encode)\n");
   }
 
   std::ofstream out(out_path);

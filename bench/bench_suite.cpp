@@ -1,8 +1,5 @@
-// End-to-end suite benchmark: run_suite under three scheduler shapes.
+// End-to-end suite benchmark: run_suite under two scheduler shapes.
 //
-//   fifo_baseline  N workers, serialize_nested — the seed thread pool's
-//                  behaviour (outer variable loop parallel, every nested
-//                  loop serial on the worker that entered it);
 //   sched_serial   1 worker — the plain serial reference;
 //   sched_full     N workers with nested work-stealing parallelism.
 //
@@ -10,7 +7,7 @@
 // ensemble and runs the whole §4 methodology over the selected variables,
 // so the speedup covers synthesis, stats builds, GRIB tuning, PVT verify
 // and the chunked codec paths together. After timing, one traced pass
-// under sched_full produces the per-phase breakdown, and the three
+// under sched_full produces the per-phase breakdown, and the two
 // configurations' results are cross-checked bitwise — a speedup that
 // changed a verdict would be a bug, not a feature.
 //
@@ -37,10 +34,9 @@
 // flags the CI gates (and the exit code) require to hold.
 //
 // The variant_sweep phase times the variant-sweep engine itself: the same
-// warmed suite slice swept direct-serial (plans off, variant_jobs=1),
-// plan-serial (shared encode-prep plans on), and plan-parallel (one
-// scheduler task per variant), with byte-parity of every plan-driven
-// stream and nonzero plan reuse baked into the exit code.
+// warmed suite slice swept direct (plans off) and planned (shared
+// encode-prep plans on), with byte-parity of every plan-driven stream and
+// nonzero plan reuse baked into the exit code.
 
 #include <unistd.h>
 
@@ -80,16 +76,13 @@ struct ConfigResult {
   core::SuiteResults results;  ///< from the last rep (determinism check)
 };
 
-/// One timed configuration: `threads` workers (0 = default resolution),
-/// optionally reproducing the seed FIFO pool's nested-serial shape.
-ConfigResult run_config(const std::string& name, std::size_t threads,
-                        bool serialize_nested, int reps,
+/// One timed configuration: `threads` workers (0 = default resolution).
+ConfigResult run_config(const std::string& name, std::size_t threads, int reps,
                         const bench::Options& options,
                         const std::vector<std::string>& variables) {
   ConfigResult out;
   out.name = name;
   ScopedScheduler scoped(threads);
-  scoped.scheduler().set_serialize_nested(serialize_nested);
   scoped.scheduler().reset_stats();
   out.seconds = 1e300;
   for (int r = 0; r < reps; ++r) {
@@ -498,16 +491,14 @@ SpillReuseBench run_spill_reuse_phase(const bench::Options& options) {
 }
 
 /// The variant-sweep engine leg: one warmed in-core suite slice swept
-/// three ways —
-///   direct_serial   variant_jobs=1, plan cache off: every variant encodes
-///                   from scratch, one after another (the pre-engine shape);
-///   plan_serial     plans on, still serial: isolates the shared
-///                   encode-prep reuse (fpzip map, ISABELA sort, GRIB2 scans);
-///   plan_parallel   variant_jobs=0: one scheduler task per variant, all
-///                   tasks sharing one plan store.
+/// two ways —
+///   direct_serial   plan cache off: every variant encodes from scratch
+///                   (the pre-engine shape);
+///   plan_serial     plans on: isolates the shared encode-prep reuse
+///                   (fpzip map, ISABELA sort, GRIB2 scans).
 /// The ensemble cache is warmed first so the timings cover the sweep
 /// itself (GRIB tuning + nine variant verifications per variable), not
-/// synthesis. All three sweeps must be bitwise identical, a traced pass
+/// synthesis. Both sweeps must be bitwise identical, a traced pass
 /// records the engine's counters, and every paper variant's plan-driven
 /// stream is byte-compared against its direct encode on a real member
 /// field — the contract the engine rests on, held in the exit code.
@@ -515,18 +506,12 @@ struct VariantSweepBench {
   std::size_t workers = 0;
   double direct_serial_seconds = 0.0;
   double plan_serial_seconds = 0.0;
-  double plan_parallel_seconds = 0.0;
   std::uint64_t plans_built = 0;
   std::uint64_t plans_reused = 0;
   std::uint64_t variant_tasks = 0;
   bool stream_parity = false;  ///< plan vs direct bytes, every paper variant
-  bool identical = false;      ///< three sweeps bitwise + CSV identical
+  bool identical = false;      ///< both sweeps bitwise + CSV identical
 
-  [[nodiscard]] double speedup() const {
-    return plan_parallel_seconds > 0.0
-               ? direct_serial_seconds / plan_parallel_seconds
-               : 0.0;
-  }
   [[nodiscard]] double plan_speedup() const {
     return plan_serial_seconds > 0.0
                ? direct_serial_seconds / plan_serial_seconds
@@ -556,14 +541,11 @@ VariantSweepBench run_variant_sweep_phase(const bench::Options& options,
   // The bias regression round-trips every member once per variant and is
   // identical across the legs; keep the timing on the sweep.
   direct_cfg.run_bias = false;
-  direct_cfg.variant_jobs = 1;
   direct_cfg.plan_cache_bytes = 0;
   core::SuiteConfig plan_serial_cfg = direct_cfg;
   plan_serial_cfg.plan_cache_bytes = core::SuiteConfig{}.plan_cache_bytes;
-  core::SuiteConfig plan_parallel_cfg = plan_serial_cfg;
-  plan_parallel_cfg.variant_jobs = 0;  // one scheduler task per variant
 
-  core::SuiteResults direct, plan_serial, plan_parallel;
+  core::SuiteResults direct, plan_serial;
   const auto timed = [&](const core::SuiteConfig& cfg, core::SuiteResults& out) {
     double best = 1e300;
     for (int r = 0; r < reps; ++r) {
@@ -575,22 +557,18 @@ VariantSweepBench run_variant_sweep_phase(const bench::Options& options,
   };
   vs.direct_serial_seconds = timed(direct_cfg, direct);
   vs.plan_serial_seconds = timed(plan_serial_cfg, plan_serial);
-  vs.plan_parallel_seconds = timed(plan_parallel_cfg, plan_parallel);
 
   vs.identical =
       identical_results(direct, plan_serial, "sweep_direct", "sweep_plan_serial") &&
-      identical_results(direct, plan_parallel, "sweep_direct",
-                        "sweep_plan_parallel") &&
-      core::suite_results_csv(direct) == core::suite_results_csv(plan_serial) &&
-      core::suite_results_csv(direct) == core::suite_results_csv(plan_parallel);
+      core::suite_results_csv(direct) == core::suite_results_csv(plan_serial);
 
-  // Traced pass under the parallel config: the engine's own counters.
+  // Traced pass under the planned config: the engine's own counters.
   {
     const bool had_trace = trace::enabled();
     trace::reset();
     trace::set_enabled(true);
     const core::SuiteResults traced =
-        core::run_suite(ensemble, plan_parallel_cfg, variables);
+        core::run_suite(ensemble, plan_serial_cfg, variables);
     if (traced.variables.empty()) vs.identical = false;  // keep it observable
     const auto counters = trace::counters();
     const auto counter = [&](const char* key) {
@@ -634,8 +612,7 @@ void write_json(std::ostream& out, const std::vector<ConfigResult>& configs,
                 const SpillReuseBench& sr, const VariantSweepBench& vs,
                 const bench::Options& options,
                 std::size_t threads, std::size_t n_vars, int reps,
-                bool deterministic, double speedup_vs_fifo,
-                double speedup_vs_serial) {
+                bool deterministic, double speedup_vs_serial) {
   // `threads` is the configured worker count; when it exceeds the core
   // count the workers time-slice and any reported "parallel speedup" is
   // bounded by the cores, not the worker count. Record both the effective
@@ -664,7 +641,6 @@ void write_json(std::ostream& out, const std::vector<ConfigResult>& configs,
       << "  \"peak_rss_bytes\": " << peak_rss << ",\n"
       << "  \"reps\": " << reps << ",\n"
       << "  \"deterministic\": " << (deterministic ? "true" : "false") << ",\n"
-      << "  \"speedup_vs_fifo\": " << speedup_vs_fifo << ",\n"
       << "  \"speedup_vs_serial\": " << speedup_vs_serial << ",\n"
       << "  \"configs\": [\n";
   for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -767,8 +743,6 @@ void write_json(std::ostream& out, const std::vector<ConfigResult>& configs,
       << "    \"workers\": " << vs.workers << ",\n"
       << "    \"direct_serial_seconds\": " << vs.direct_serial_seconds << ",\n"
       << "    \"plan_serial_seconds\": " << vs.plan_serial_seconds << ",\n"
-      << "    \"plan_parallel_seconds\": " << vs.plan_parallel_seconds << ",\n"
-      << "    \"speedup_plan_parallel_vs_direct\": " << vs.speedup() << ",\n"
       << "    \"speedup_plan_serial_vs_direct\": " << vs.plan_speedup() << ",\n"
       << "    \"plans_built\": " << vs.plans_built << ",\n"
       << "    \"plans_reused\": " << vs.plans_reused << ",\n"
@@ -828,19 +802,13 @@ int main(int argc, char** argv) {
   }
 
   std::vector<ConfigResult> configs;
-  configs.push_back(run_config("fifo_baseline", options.threads,
-                               /*serialize_nested=*/true, reps, options, variables));
-  configs.push_back(run_config("sched_serial", 1,
-                               /*serialize_nested=*/false, reps, options, variables));
-  configs.push_back(run_config("sched_full", options.threads,
-                               /*serialize_nested=*/false, reps, options, variables));
-  const ConfigResult& fifo = configs[0];
-  const ConfigResult& serial = configs[1];
-  const ConfigResult& full = configs[2];
+  configs.push_back(run_config("sched_serial", 1, reps, options, variables));
+  configs.push_back(run_config("sched_full", options.threads, reps, options, variables));
+  const ConfigResult& serial = configs[0];
+  const ConfigResult& full = configs[1];
 
   const bool deterministic =
-      identical_results(serial.results, full.results, serial.name, full.name) &&
-      identical_results(serial.results, fifo.results, serial.name, fifo.name);
+      identical_results(serial.results, full.results, serial.name, full.name);
 
   // Per-phase breakdown: one traced pass under the full scheduler.
   std::vector<PhaseRow> phases;
@@ -865,7 +833,6 @@ int main(int argc, char** argv) {
     if (!had_trace) trace::set_enabled(false);
   }
 
-  const double speedup_vs_fifo = fifo.seconds / full.seconds;
   const double speedup_vs_serial = serial.seconds / full.seconds;
 
   const std::string out_path =
@@ -897,8 +864,7 @@ int main(int argc, char** argv) {
                 "bounded by the core count\n",
                 threads, hw);
   }
-  std::printf("speedup vs fifo_baseline: %.2fx   vs 1 thread: %.2fx\n",
-              speedup_vs_fifo, speedup_vs_serial);
+  std::printf("speedup vs 1 thread: %.2fx\n", speedup_vs_serial);
   std::printf("deterministic across configs: %s\n", deterministic ? "yes" : "NO");
   std::printf("cache phase: off %.3fs  cold %.3fs  warm %.3fs  (warm %.2fx vs off, "
               "hit rate %.0f%%, %llu hits/%llu misses%s)\n",
@@ -910,18 +876,17 @@ int main(int argc, char** argv) {
               cache_bench.disk_tier ? ", disk tier on" : "");
   std::printf("cache parity (off == cold == warm, bitwise): %s\n",
               cache_bench.parity ? "yes" : "NO");
-  std::printf("variant sweep: direct-serial %.3fs  plan-serial %.3fs (%.2fx)  "
-              "plan-parallel %.3fs (%.2fx, %zu workers)\n",
+  std::printf("variant sweep: direct-serial %.3fs  plan-serial %.3fs (%.2fx, "
+              "%zu workers)\n",
               variant_sweep.direct_serial_seconds,
               variant_sweep.plan_serial_seconds, variant_sweep.plan_speedup(),
-              variant_sweep.plan_parallel_seconds, variant_sweep.speedup(),
               variant_sweep.workers);
   std::printf("  plans built %llu, reused %llu; %llu variant tasks\n",
               static_cast<unsigned long long>(variant_sweep.plans_built),
               static_cast<unsigned long long>(variant_sweep.plans_reused),
               static_cast<unsigned long long>(variant_sweep.variant_tasks));
   std::printf("  plan streams == direct streams (bytes): %s   "
-              "three sweeps identical (bitwise): %s\n",
+              "both sweeps identical (bitwise): %s\n",
               variant_sweep.stream_parity ? "yes" : "NO",
               variant_sweep.identical ? "yes" : "NO");
   if (full_grid.enabled) {
@@ -993,7 +958,7 @@ int main(int argc, char** argv) {
   std::ostringstream out;
   write_json(out, configs, phases, cache_bench, full_grid, multi_var, spill_reuse,
              variant_sweep, options, threads, variables.size(), reps, deterministic,
-             speedup_vs_fifo, speedup_vs_serial);
+             speedup_vs_serial);
   core::write_text_file(out_path, out.str());
   std::printf("wrote %s and %s\n", out_path.c_str(), csv_path.c_str());
 

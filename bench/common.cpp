@@ -10,6 +10,7 @@
 #include "compress/variants.h"
 #include "core/ensemble_cache.h"
 #include "core/profile_report.h"
+#include "util/env.h"
 #include "util/error.h"
 #include "util/scheduler.h"
 #include "util/stopwatch.h"
@@ -22,7 +23,7 @@ namespace {
 [[noreturn]] void usage_and_exit(const char* prog) {
   std::printf(
       "usage: %s [--scale=reduced|paper] [--members=N] [--vars=N] [--no-bias] [--seed=N]\n"
-      "          [--threads=N] [--variant-jobs=N] [--quick] [--full-grid] [--out=PATH]\n"
+      "          [--threads=N] [--quick] [--full-grid] [--out=PATH]\n"
       "          [--profile=out.json]\n"
       "  --scale=reduced  3,456 columns x 8 levels (default for ensemble benches)\n"
       "  --scale=paper    48,672 columns x 30 levels (the paper's ne30-scale grid)\n"
@@ -32,18 +33,29 @@ namespace {
       "  --seed=N         seed for the random test-member choice\n"
       "  --threads=N      scheduler worker count (default: CESM_THREADS env,\n"
       "                   then hardware concurrency; clamped to the hardware)\n"
-      "  --variant-jobs=N concurrent variant-sweep tasks per variable\n"
-      "                   (1 = serial sweep [default], 0 = one task per\n"
-      "                   variant; results are bit-identical at any setting)\n"
       "  --quick          CI smoke mode (shrinks the bench's workload)\n"
       "  --full-grid      (bench_suite) out-of-core full-grid leg: stream one\n"
       "                   paper-scale variable under the CESM_MEM_MB budget and\n"
       "                   cross-check it bitwise against the in-core pipeline\n"
       "  --out=PATH       override the bench's JSON output path\n"
       "  --profile=PATH   enable per-stage tracing; write the JSON span tree\n"
-      "                   to PATH and a readable tree to stderr\n",
+      "                   to PATH and a readable tree to stderr\n"
+      "  numeric flags take non-negative decimal integers; a malformed value\n"
+      "  is a usage error (exit 2)\n",
       prog);
   std::exit(2);
+}
+
+/// Strict value of the numeric flag `arg` ("--name=value") within [lo, hi];
+/// prints usage and exits 2 on a malformed or out-of-range value.
+std::uint64_t flag_u64(const char* prog, const std::string& arg, std::uint64_t lo = 0,
+                       std::uint64_t hi = UINT64_MAX) {
+  const std::size_t eq = arg.find('=');
+  const std::string flag = arg.substr(0, eq);
+  const std::optional<std::uint64_t> v =
+      util::parse_flag_u64(flag.c_str(), arg.c_str() + eq + 1, lo, hi);
+  if (!v) usage_and_exit(prog);
+  return *v;
 }
 
 }  // namespace
@@ -59,20 +71,15 @@ Options Options::parse(int argc, char** argv, bool default_paper_scale) {
     } else if (arg == "--scale=reduced") {
       o.paper_scale = false;
     } else if (arg.rfind("--members=", 0) == 0) {
-      o.members = static_cast<std::size_t>(std::strtoull(arg.c_str() + 10, nullptr, 10));
-      if (o.members < 3) usage_and_exit(argv[0]);
+      o.members = flag_u64(argv[0], arg, 3);
     } else if (arg.rfind("--vars=", 0) == 0) {
-      o.var_limit = static_cast<std::size_t>(std::strtoull(arg.c_str() + 7, nullptr, 10));
+      o.var_limit = flag_u64(argv[0], arg);
     } else if (arg == "--no-bias") {
       o.run_bias = false;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      o.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      o.seed = flag_u64(argv[0], arg);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      o.threads = static_cast<std::size_t>(std::strtoull(arg.c_str() + 10, nullptr, 10));
-      if (o.threads == 0) usage_and_exit(argv[0]);
-    } else if (arg.rfind("--variant-jobs=", 0) == 0) {
-      o.variant_jobs =
-          static_cast<std::size_t>(std::strtoull(arg.c_str() + 15, nullptr, 10));
+      o.threads = flag_u64(argv[0], arg, 1);
     } else if (arg == "--quick") {
       o.quick = true;
     } else if (arg == "--full-grid") {
@@ -163,7 +170,6 @@ core::SuiteConfig suite_config(const Options& options) {
   core::SuiteConfig cfg;
   cfg.run_bias = options.run_bias;
   cfg.member_seed = options.seed;
-  cfg.variant_jobs = options.variant_jobs;
   return cfg;
 }
 

@@ -1,83 +1,370 @@
-// Runtime dispatch between the scalar reference kernels and the vectorized
-// ones. Codecs call the unqualified kernels::* entry points; the mode is a
-// cached atomic read (simd.h), so dispatch cost is negligible next to the
-// kernels themselves.
+// The codec kernels (codec_kernels.h). Compiled at the project's base flags
+// with -ffp-contract=off. The ordered maps and the row lifting are the plain
+// per-element loops; the other families are restructured so whole rows sit
+// in contiguous, vectorizable loops, and each must stay bit-identical to its
+// kernels::reference loop (codec_kernels_reference.cpp).
 
 #include "compress/codec_kernels.h"
 
-#include "compress/simd.h"
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <numeric>
+#include <span>
+#include <vector>
+
+#include "compress/fpz/predictor.h"
+#include "compress/grib2/wavelet.h"
 
 namespace cesm::comp::kernels {
 
-namespace {
-
-inline bool use_vec() { return simd::active_mode() == simd::Mode::kSimd; }
-
-}  // namespace
+// ---------------------------------------------------------------------------
+// Ordered-integer maps (predictor.h).
+// ---------------------------------------------------------------------------
 
 void ordered_from_f32(const float* src, std::uint32_t* dst, std::size_t n,
                       unsigned shift) {
-  (use_vec() ? vec::ordered_from_f32 : scalar::ordered_from_f32)(src, dst, n, shift);
+  for (std::size_t i = 0; i < n; ++i) dst[i] = float_to_ordered(src[i]) >> shift;
 }
 
 void ordered_from_f64(const double* src, std::uint64_t* dst, std::size_t n,
                       unsigned shift) {
-  (use_vec() ? vec::ordered_from_f64 : scalar::ordered_from_f64)(src, dst, n, shift);
+  for (std::size_t i = 0; i < n; ++i) dst[i] = double_to_ordered(src[i]) >> shift;
 }
 
-void f32_from_ordered(const std::uint32_t* q, float* dst, std::size_t n, unsigned shift,
-                      std::uint32_t half) {
-  (use_vec() ? vec::f32_from_ordered : scalar::f32_from_ordered)(q, dst, n, shift, half);
+void f32_from_ordered(const std::uint32_t* q, float* dst, std::size_t n,
+                      unsigned shift, std::uint32_t half) {
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = ordered_to_float(static_cast<std::uint32_t>((q[i] << shift) | half));
+  }
 }
 
-void f64_from_ordered(const std::uint64_t* q, double* dst, std::size_t n, unsigned shift,
-                      std::uint64_t half) {
-  (use_vec() ? vec::f64_from_ordered : scalar::f64_from_ordered)(q, dst, n, shift, half);
+void f64_from_ordered(const std::uint64_t* q, double* dst, std::size_t n,
+                      unsigned shift, std::uint64_t half) {
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = ordered_to_double(static_cast<std::uint64_t>((q[i] << shift) | half));
+  }
 }
+
+// ---------------------------------------------------------------------------
+// Lorenzo prediction, row-blocked: the per-element div/mod index decomposition
+// of LorenzoPredictor::predict is replaced by one loop nest per boundary
+// case, so interior rows are straight-line neighbor arithmetic over
+// contiguous lanes. All arithmetic is modular in U — exactly the predictor's
+// semantics, case for case.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+template <typename U>
+void lorenzo_residuals_impl(const U* q, U* zz, Dims d) {
+  const std::size_t rows = d.rows, cols = d.cols, planes = d.planes;
+  const std::size_t plane_size = rows * cols;
+  for (std::size_t p = 0; p < planes; ++p) {
+    const U* cp = q + p * plane_size;   // current plane
+    const U* pp = cp - plane_size;      // previous plane (p > 0 only)
+    U* z = zz + p * plane_size;
+    // Row 0: first element predicts from the previous plane (or 0), the
+    // rest from the left neighbor.
+    z[0] = zigzag_encode(static_cast<U>(p > 0 ? cp[0] - pp[0] : cp[0]));
+    for (std::size_t c = 1; c < cols; ++c) {
+      z[c] = zigzag_encode(static_cast<U>(cp[c] - cp[c - 1]));
+    }
+    for (std::size_t r = 1; r < rows; ++r) {
+      const U* cur = cp + r * cols;
+      const U* up = cur - cols;
+      U* zr = z + r * cols;
+      zr[0] = zigzag_encode(static_cast<U>(cur[0] - up[0]));
+      if (p == 0) {
+        // 2-D Lorenzo: value - (left + up - upleft).
+        for (std::size_t c = 1; c < cols; ++c) {
+          zr[c] = zigzag_encode(
+              static_cast<U>(cur[c] - cur[c - 1] - up[c] + up[c - 1]));
+        }
+      } else {
+        // 3-D Lorenzo 7-neighbour corner.
+        const U* bk = cur - plane_size;  // (p-1, r, .)
+        const U* bu = bk - cols;         // (p-1, r-1, .)
+        for (std::size_t c = 1; c < cols; ++c) {
+          zr[c] = zigzag_encode(static_cast<U>(cur[c] - cur[c - 1] - up[c] +
+                                               up[c - 1] - bk[c] + bk[c - 1] +
+                                               bu[c] - bu[c - 1]));
+        }
+      }
+    }
+  }
+}
+
+/// Inverse. Row interiors collapse to a running prefix sum: with
+/// e[c] = q[r][c] - q[r-1][c] the 2-D recurrence is e[c] = e[c-1] + dz[c],
+/// and in 3-D the plane difference h = q[p] - q[p-1] obeys the 2-D
+/// recurrence, so g[c] = h[r][c] - h[r-1][c] is again a prefix sum.
+template <typename U>
+void lorenzo_reconstruct_impl(U* q, const U* zz, Dims d) {
+  const std::size_t rows = d.rows, cols = d.cols, planes = d.planes;
+  const std::size_t plane_size = rows * cols;
+  std::vector<U> hprev(planes > 1 ? cols : 0);
+  for (std::size_t p = 0; p < planes; ++p) {
+    U* cp = q + p * plane_size;
+    const U* pp = cp - plane_size;
+    const U* z = zz + p * plane_size;
+    cp[0] = static_cast<U>((p > 0 ? pp[0] : U{0}) + zigzag_decode(z[0]));
+    for (std::size_t c = 1; c < cols; ++c) {
+      cp[c] = static_cast<U>(cp[c - 1] + zigzag_decode(z[c]));
+    }
+    if (p > 0) {
+      for (std::size_t c = 0; c < cols; ++c) hprev[c] = static_cast<U>(cp[c] - pp[c]);
+    }
+    for (std::size_t r = 1; r < rows; ++r) {
+      U* cur = cp + r * cols;
+      const U* up = cur - cols;
+      const U* zr = z + r * cols;
+      cur[0] = static_cast<U>(up[0] + zigzag_decode(zr[0]));
+      if (p == 0) {
+        U e = static_cast<U>(cur[0] - up[0]);
+        for (std::size_t c = 1; c < cols; ++c) {
+          e = static_cast<U>(e + zigzag_decode(zr[c]));
+          cur[c] = static_cast<U>(up[c] + e);
+        }
+      } else {
+        const U* prev = pp + r * cols;
+        U h0 = static_cast<U>(cur[0] - prev[0]);
+        U g = static_cast<U>(h0 - hprev[0]);
+        hprev[0] = h0;
+        for (std::size_t c = 1; c < cols; ++c) {
+          g = static_cast<U>(g + zigzag_decode(zr[c]));
+          const U h = static_cast<U>(hprev[c] + g);
+          hprev[c] = h;
+          cur[c] = static_cast<U>(prev[c] + h);
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
 
 void lorenzo_residuals_u32(const std::uint32_t* q, std::uint32_t* zz, Dims d) {
-  (use_vec() ? vec::lorenzo_residuals_u32 : scalar::lorenzo_residuals_u32)(q, zz, d);
+  lorenzo_residuals_impl(q, zz, d);
 }
-
 void lorenzo_residuals_u64(const std::uint64_t* q, std::uint64_t* zz, Dims d) {
-  (use_vec() ? vec::lorenzo_residuals_u64 : scalar::lorenzo_residuals_u64)(q, zz, d);
+  lorenzo_residuals_impl(q, zz, d);
 }
-
 void lorenzo_reconstruct_u32(std::uint32_t* q, const std::uint32_t* zz, Dims d) {
-  (use_vec() ? vec::lorenzo_reconstruct_u32 : scalar::lorenzo_reconstruct_u32)(q, zz, d);
+  lorenzo_reconstruct_impl(q, zz, d);
+}
+void lorenzo_reconstruct_u64(std::uint64_t* q, const std::uint64_t* zz, Dims d) {
+  lorenzo_reconstruct_impl(q, zz, d);
 }
 
-void lorenzo_reconstruct_u64(std::uint64_t* q, const std::uint64_t* zz, Dims d) {
-  (use_vec() ? vec::lorenzo_reconstruct_u64 : scalar::lorenzo_reconstruct_u64)(q, zz, d);
+// ---------------------------------------------------------------------------
+// ISABELA window sort: LSD radix over order-preserving keys. Equivalent to
+// stable_sort by value because the key map is strictly monotone on non-NaN
+// floats (with -0.0 canonicalized onto +0.0, matching operator< which treats
+// them as equal) and LSD radix is stable, so ties keep input-index order.
+// NaN does not admit a strict weak order under operator<; windows containing
+// NaN take the comparison sort, whose order on them is the original loop's.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+inline std::uint32_t radix_key(float v) { return float_to_ordered(v == 0.0f ? 0.0f : v); }
+inline std::uint64_t radix_key(double v) { return double_to_ordered(v == 0.0 ? 0.0 : v); }
+
+template <typename T>
+void sort_perm_impl(const T* data, std::uint32_t* perm, std::size_t len) {
+  bool has_nan = false;
+  for (std::size_t i = 0; i < len; ++i) has_nan |= (data[i] != data[i]);
+  if (has_nan || len <= 64) {
+    // Tiny windows: radix setup costs more than it saves.
+    std::iota(perm, perm + len, 0u);
+    std::stable_sort(perm, perm + len,
+                     [&](std::uint32_t a, std::uint32_t b) { return data[a] < data[b]; });
+    return;
+  }
+
+  using K = decltype(radix_key(T{}));
+  std::vector<K> keys(len), keys_tmp(len);
+  std::vector<std::uint32_t> idx(len), idx_tmp(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    keys[i] = radix_key(data[i]);
+    idx[i] = static_cast<std::uint32_t>(i);
+  }
+
+  constexpr unsigned kPasses = sizeof(K);
+  for (unsigned pass = 0; pass < kPasses; ++pass) {
+    const unsigned shift = pass * 8;
+    std::size_t count[256] = {};
+    for (std::size_t i = 0; i < len; ++i) ++count[(keys[i] >> shift) & 0xff];
+    const std::uint8_t first_byte = static_cast<std::uint8_t>((keys[0] >> shift) & 0xff);
+    if (count[first_byte] == len) continue;  // all equal: pass is a no-op
+    std::size_t offset = 0;
+    for (std::size_t b = 0; b < 256; ++b) {
+      const std::size_t c = count[b];
+      count[b] = offset;
+      offset += c;
+    }
+    for (std::size_t i = 0; i < len; ++i) {
+      const std::size_t dst = count[(keys[i] >> shift) & 0xff]++;
+      keys_tmp[dst] = keys[i];
+      idx_tmp[dst] = idx[i];
+    }
+    keys.swap(keys_tmp);
+    idx.swap(idx_tmp);
+  }
+  std::memcpy(perm, idx.data(), len * sizeof(std::uint32_t));
 }
+
+}  // namespace
 
 void sort_perm_f32(const float* data, std::uint32_t* perm, std::size_t len) {
-  (use_vec() ? vec::sort_perm_f32 : scalar::sort_perm_f32)(data, perm, len);
+  sort_perm_impl(data, perm, len);
+}
+void sort_perm_f64(const double* data, std::uint32_t* perm, std::size_t len) {
+  sort_perm_impl(data, perm, len);
 }
 
-void sort_perm_f64(const double* data, std::uint32_t* perm, std::size_t len) {
-  (use_vec() ? vec::sort_perm_f64 : scalar::sort_perm_f64)(data, perm, len);
-}
+// ---------------------------------------------------------------------------
+// APAX / GRIB2 quantization: branch-free exact llround.
+//
+// For |x| < 2^52, trunc(x) and x - trunc(x) are exact, so
+//   m = trunc(x) + (frac >= 0.5) - (frac <= -0.5)
+// reproduces llround's round-half-away-from-zero for every finite input.
+// Non-finite lanes are detected with x - x == 0 (false for NaN/inf) and
+// forced to 0 before any float->int conversion, matching the original loops.
+// ---------------------------------------------------------------------------
 
 void apax_quantize(const double* src, std::size_t first, std::size_t len, double scale,
                    unsigned bits, std::size_t extra, std::uint32_t* codes) {
-  (use_vec() ? vec::apax_quantize : scalar::apax_quantize)(src, first, len, scale, bits,
-                                                           extra, codes);
+  const auto run = [&](std::size_t i0, std::size_t i1, unsigned b) {
+    const double q = static_cast<double>((1u << (b - 1)) - 1);
+    const auto limit = static_cast<std::int32_t>(q);
+    for (std::size_t i = i0; i < i1; ++i) {
+      const double dv = src[i] / scale * q;
+      const bool finite = dv - dv == 0.0;
+      const double ds = finite ? dv : 0.0;
+      const double t = std::trunc(ds);
+      const double f = ds - t;
+      auto m = static_cast<std::int32_t>(t) + (f >= 0.5 ? 1 : 0) - (f <= -0.5 ? 1 : 0);
+      m = std::min(std::max(m, -limit), limit);
+      codes[i - first] = static_cast<std::uint32_t>(m + limit);
+    }
+  };
+  const std::size_t split = first + std::min(extra, len - first);
+  run(first, split, bits + 1);
+  run(split, len, bits);
 }
 
 void grib2_quantize(const float* data, const std::uint8_t* valid, std::int64_t* q,
                     std::size_t n, double lo, double step) {
-  (use_vec() ? vec::grib2_quantize : scalar::grib2_quantize)(data, valid, q, n, lo, step);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double dv = (static_cast<double>(data[i]) - lo) / step;
+    const bool ok = (valid == nullptr || valid[i] != 0) && dv - dv == 0.0;
+    const double ds = ok ? dv : 0.0;
+    const double t = std::trunc(ds);
+    const double f = ds - t;
+    q[i] = static_cast<std::int64_t>(t) + (f >= 0.5 ? 1 : 0) - (f <= -0.5 ? 1 : 0);
+  }
 }
+
+// ---------------------------------------------------------------------------
+// 5/3 wavelet lifting. Row transforms run the 1-D lifting per row; column
+// transforms operate on whole rows at a time (each lifting step walks c
+// contiguously), which turns the strided gather-per-column of the 1-D form
+// into row arithmetic. Integer ops only: results are identical by
+// construction.
+// ---------------------------------------------------------------------------
 
 void dwt53_rows(std::int64_t* data, std::size_t cols, std::size_t r_lim,
                 std::size_t c_lim, bool inverse) {
-  (use_vec() ? vec::dwt53_rows : scalar::dwt53_rows)(data, cols, r_lim, c_lim, inverse);
+  std::vector<std::int64_t> buf(c_lim), tmp(c_lim);
+  for (std::size_t r = 0; r < r_lim; ++r) {
+    for (std::size_t c = 0; c < c_lim; ++c) buf[c] = data[r * cols + c];
+    if (inverse) {
+      dwt53_inverse_1d(buf, tmp);
+    } else {
+      dwt53_forward_1d(buf, tmp);
+    }
+    for (std::size_t c = 0; c < c_lim; ++c) data[r * cols + c] = tmp[c];
+  }
 }
+
+namespace {
+
+void dwt53_cols_forward(std::int64_t* data, std::size_t cols, std::size_t r_lim,
+                        std::size_t c_lim) {
+  const std::size_t n = r_lim;
+  const std::size_t ns = (n + 1) / 2, nd = n / 2;
+  std::vector<std::int64_t> dbuf(nd * c_lim);
+  // Predict: d[i] = x[2i+1] - ((x[2i] + x[2i+2]) >> 1), mirror at the edge.
+  for (std::size_t i = 0; i < nd; ++i) {
+    const std::int64_t* x0 = data + (2 * i) * cols;
+    const std::int64_t* x1 = data + (2 * i + 1) * cols;
+    const std::size_t r2 = 2 * i + 2 <= n - 1 ? 2 * i + 2 : n - 2;
+    const std::int64_t* x2 = data + r2 * cols;
+    std::int64_t* di = dbuf.data() + i * c_lim;
+    for (std::size_t c = 0; c < c_lim; ++c) di[c] = x1[c] - ((x0[c] + x2[c]) >> 1);
+  }
+  // Update: s[i] = x[2i] + ((d[i-1] + d[i] + 2) >> 2), d clamped at edges.
+  // Writing s into row i is safe: it only reads x rows 2i >= i, none of
+  // which have been overwritten yet.
+  for (std::size_t i = 0; i < ns; ++i) {
+    const std::int64_t* x0 = data + (2 * i) * cols;
+    const std::int64_t* dm =
+        dbuf.data() + (i > 0 ? i - 1 : 0) * c_lim;
+    const std::int64_t* d0 = dbuf.data() + std::min(i, nd - 1) * c_lim;
+    std::int64_t* out = data + i * cols;
+    for (std::size_t c = 0; c < c_lim; ++c) out[c] = x0[c] + ((dm[c] + d0[c] + 2) >> 2);
+  }
+  for (std::size_t i = 0; i < nd; ++i) {
+    std::memcpy(data + (ns + i) * cols, dbuf.data() + i * c_lim,
+                c_lim * sizeof(std::int64_t));
+  }
+}
+
+void dwt53_cols_inverse(std::int64_t* data, std::size_t cols, std::size_t r_lim,
+                        std::size_t c_lim) {
+  const std::size_t n = r_lim;
+  const std::size_t ns = (n + 1) / 2, nd = n / 2;
+  std::vector<std::int64_t> ebuf(ns * c_lim);
+  // Undo update: x[2i] = s[i] - ((d[i-1] + d[i] + 2) >> 2).
+  for (std::size_t i = 0; i < ns; ++i) {
+    const std::int64_t* si = data + i * cols;
+    const std::int64_t* dm = data + (ns + (i > 0 ? i - 1 : 0)) * cols;
+    const std::int64_t* d0 = data + (ns + std::min(i, nd - 1)) * cols;
+    std::int64_t* ei = ebuf.data() + i * c_lim;
+    for (std::size_t c = 0; c < c_lim; ++c) ei[c] = si[c] - ((dm[c] + d0[c] + 2) >> 2);
+  }
+  // Undo predict: x[2i+1] = d[i] + ((x[2i] + x[2i+2]) >> 1). Even samples
+  // come from ebuf, so writing odd rows in place never clobbers an input
+  // row before its read (the only overlap, 2i+1 == ns+i at the final step
+  // of even n, is elementwise read-then-write).
+  for (std::size_t i = 0; i < nd; ++i) {
+    const std::int64_t* e0 = ebuf.data() + i * c_lim;
+    const std::size_t r2 = 2 * i + 2 <= n - 1 ? 2 * i + 2 : n - 2;
+    const std::int64_t* e2 = ebuf.data() + (r2 / 2) * c_lim;
+    const std::int64_t* di = data + (ns + i) * cols;
+    std::int64_t* odd = data + (2 * i + 1) * cols;
+    for (std::size_t c = 0; c < c_lim; ++c) odd[c] = di[c] + ((e0[c] + e2[c]) >> 1);
+  }
+  for (std::size_t i = 0; i < ns; ++i) {
+    std::memcpy(data + (2 * i) * cols, ebuf.data() + i * c_lim,
+                c_lim * sizeof(std::int64_t));
+  }
+}
+
+}  // namespace
 
 void dwt53_cols(std::int64_t* data, std::size_t cols, std::size_t r_lim,
                 std::size_t c_lim, bool inverse) {
-  (use_vec() ? vec::dwt53_cols : scalar::dwt53_cols)(data, cols, r_lim, c_lim, inverse);
+  if (r_lim < 2) {
+    return;  // single-row columns: the 1-D transform is the identity
+  }
+  if (inverse) {
+    dwt53_cols_inverse(data, cols, r_lim, c_lim);
+  } else {
+    dwt53_cols_forward(data, cols, r_lim, c_lim);
+  }
 }
 
 }  // namespace cesm::comp::kernels

@@ -1,49 +1,14 @@
 #pragma once
-// Runtime selection between the scalar reference codec kernels and the
-// vectorized ones (codec_kernels.h).
-//
-// Policy (mirrors the stats fused-kernel/reference split): the scalar
-// kernels are the semantic ground truth, compiled unconditionally and
-// byte-for-byte faithful to the original per-element codec loops; the
-// vectorized kernels must produce bit-identical streams and are selected
-// only when the host supports them. `CESM_SIMD` overrides detection:
-//
-//   CESM_SIMD=off|scalar|0   force the scalar reference path
-//   CESM_SIMD=on|avx2|1      force the vectorized path (falls back to
-//                            scalar with a warning when unsupported)
-//   CESM_SIMD=auto / unset   use the vectorized path when the CPU has AVX2
-//
-// A malformed value warns once and behaves like `auto` — codec behavior
-// must never depend on a typo aborting the process.
+// The codec kernels have one build (codec_kernels.cpp, compiled at the
+// project's base flags), so there is no kernel mode to select at run time.
+// This stub names that build for host records that report the kernel mode.
 
 namespace cesm::comp::simd {
 
-enum class Mode {
-  kScalar,  ///< reference kernels only
-  kSimd,    ///< vectorized kernels (AVX2 build of the kernel TU on x86)
-};
+enum class Mode { kPortable };
 
-/// Currently active kernel mode (env override or CPU detection, cached).
-Mode active_mode();
+inline Mode active_mode() { return Mode::kPortable; }
 
-/// True when the vectorized kernel TU was built for and can run on this CPU.
-bool simd_supported();
-
-const char* mode_name(Mode mode);
-
-/// Test hook: force a mode for the current process (overrides env/detect).
-void set_mode(Mode mode);
-
-/// RAII mode override for tests (restores the previous mode on scope exit).
-class ScopedMode {
- public:
-  explicit ScopedMode(Mode mode) : prev_(active_mode()) { set_mode(mode); }
-  ~ScopedMode() { set_mode(prev_); }
-  ScopedMode(const ScopedMode&) = delete;
-  ScopedMode& operator=(const ScopedMode&) = delete;
-
- private:
-  Mode prev_;
-};
+inline const char* mode_name(Mode) { return "portable"; }
 
 }  // namespace cesm::comp::simd

@@ -188,47 +188,24 @@ void verify_variable(const MemberSource& source, const climate::VariableSpec& sp
       pool != nullptr ? pool->assemble(result.grib_decimal_scale, result.fill)
                       : comp::paper_variants(result.grib_decimal_scale, result.fill);
 
-  // Failpoint pre-pass: hit "suite.verify_variant" once per variant in
-  // catalog order before any verify runs, so stateful triggers (once,
-  // nth, prob) select the same variants at every variant_jobs setting as
-  // the historical serial loop did.
-  std::vector<std::string> injected(variants.size());
-  std::vector<std::uint8_t> has_injection(variants.size(), 0);
-  for (std::size_t v = 0; v < variants.size(); ++v) {
+  // One serial sweep in catalog order with one verifier, whose scratch
+  // arena stays warm from one variant to the next. The variant failpoint
+  // is hit once per variant, just before its verify.
+  PvtVerifier verifier(source, config.thresholds);
+  verifier.set_plan_store(&plans);
+  result.verdicts.reserve(variants.size());
+  for (const comp::CodecPtr& variant : variants) {
+    trace::counter_add("sweep.variant_tasks", 1);
+    std::optional<std::string> injected;
     try {
       CESM_FAILPOINT("suite.verify_variant");
     } catch (const Error& e) {
-      has_injection[v] = 1;
-      injected[v] = e.what();
+      injected = e.what();
     }
-  }
-
-  // Verdicts land in fixed catalog-order slots, so the results are
-  // byte-identical to the serial sweep at any variant_jobs setting and
-  // worker count. verify() must not run concurrently on one verifier
-  // (shared scratch arena), so a parallel sweep gives each task its own.
-  PvtVerifier verifier(source, config.thresholds);
-  verifier.set_plan_store(&plans);
-  result.verdicts.resize(variants.size());
-  const auto verify_one = [&](const PvtVerifier& task_verifier, std::size_t v) {
-    trace::counter_add("sweep.variant_tasks", 1);
-    const comp::CodecPtr wrapped = with_chunking(variants[v], config.chunk_elems);
-    result.verdicts[v] =
-        verify_with_fallback(task_verifier, *wrapped, result.fill, result.test_members,
-                             config, has_injection[v] != 0 ? &injected[v] : nullptr);
-  };
-  const std::size_t grain = variant_grain(config.variant_jobs, variants.size());
-  if (grain >= variants.size()) {
-    for (std::size_t v = 0; v < variants.size(); ++v) verify_one(verifier, v);
-  } else {
-    parallel_for(
-        0, variants.size(),
-        [&](std::size_t v) {
-          PvtVerifier task_verifier(source, config.thresholds);
-          task_verifier.set_plan_store(&plans);
-          verify_one(task_verifier, v);
-        },
-        grain);
+    const comp::CodecPtr wrapped = with_chunking(variant, config.chunk_elems);
+    result.verdicts.push_back(verify_with_fallback(verifier, *wrapped, result.fill,
+                                                   result.test_members, config,
+                                                   injected ? &*injected : nullptr));
   }
 }
 

@@ -45,13 +45,6 @@ struct SuiteConfig {
   std::size_t chunk_elems = 0;
 
   // --- variant-sweep engine (docs/codecs.md) ---
-  /// Concurrent variant tasks per variable: 1 (the default) runs the
-  /// sweep serially in catalog order — today's schedule, one verifier
-  /// arena warmed across the sweep; 0 spawns one task per variant; N
-  /// splits the sweep into about N tasks. Results land in fixed
-  /// catalog-order slots, so the suite CSV is byte-identical at every
-  /// setting and worker count.
-  std::size_t variant_jobs = 1;
   /// Byte cap for the per-variable shared encode-prep plan cache
   /// (compress/prep.h): the variant-invariant stage of each codec family
   /// (fpzip ordered map, ISABELA sort + spline fit, GRIB2 bitmap/scan +
@@ -173,16 +166,6 @@ void verify_variable(const MemberSource& source, const climate::VariableSpec& sp
 VariableResult run_variable_guarded(const climate::VariableSpec& spec,
                                     const SuiteConfig& config,
                                     const std::function<VariableResult()>& run);
-
-/// Scheduler grain for sweeping `n` variants under
-/// SuiteConfig::variant_jobs: 1 -> n (one serial task, catalog order),
-/// 0 -> 1 (one task per variant), N -> about N contiguous tasks.
-[[nodiscard]] inline std::size_t variant_grain(std::size_t variant_jobs,
-                                               std::size_t n) {
-  if (n == 0) return 1;
-  if (variant_jobs <= 1) return variant_jobs == 0 ? 1 : n;
-  return (n + variant_jobs - 1) / variant_jobs;
-}
 
 /// Wrap `codec` in a ChunkedCodec with the suite's chunk partition;
 /// passthrough when chunk_elems == 0. The single construction point both

@@ -1,29 +1,23 @@
-// Scalar-reference vs vectorized codec-kernel parity (codec_kernels.h).
+// Restructured codec kernels vs their reference loops (codec_kernels.h).
 //
-// The vectorized kernels are only admissible if they are bit-identical to
-// the scalar reference on EVERY input, so each kernel is checked across
-// hostile field regimes (subnormals, NaN/inf salting, fill-masked points)
-// and across a dense sweep of buffer lengths covering every lane-tail
-// remainder: for the widest lane width w in play (8 for f32 AVX2), the
-// sweep hits every n mod w in {0..w-1} twice, plus the degenerate tiny
-// lengths below one full lane.
+// The restructured (vectorizable) kernels are only admissible if they are
+// bit-identical to the original per-element loops in kernels::reference on
+// EVERY input, so each kernel is checked across hostile field regimes
+// (subnormals, NaN/inf salting, fill-masked points) and across a dense
+// sweep of buffer lengths covering every lane-tail remainder for lane
+// widths up to 16, plus the degenerate tiny lengths below one full lane.
 //
-// Stream-level tests close the loop: each codec family must emit
-// byte-identical streams and decodes under simd::Mode::kScalar and kSimd.
+// Stream-level identity is pinned separately by test_stream_golden.cpp.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
-#include <limits>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "compress/codec_kernels.h"
 #include "compress/fpz/predictor.h"
-#include "compress/simd.h"
-#include "compress/variants.h"
 #include "support/generators.h"
 #include "util/rng.h"
 
@@ -89,61 +83,8 @@ bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
   return std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
 }
 
-bool skip_unless_simd() {
-  if (!simd::simd_supported()) return true;
-  return false;
-}
-
-#define REQUIRE_SIMD()                                                      \
-  if (skip_unless_simd()) GTEST_SKIP() << "vectorized kernels unsupported " \
-                                          "on this host"
-
 constexpr Field kAllFields[] = {Field::kSmooth, Field::kDenormal, Field::kSpecials,
                                 Field::kFilled};
-
-TEST(SimdParity, OrderedMapFloat) {
-  REQUIRE_SIMD();
-  for (Field f : kAllFields) {
-    for (std::size_t n : tail_lengths()) {
-      SCOPED_TRACE(std::string(field_name(f)) + " n=" + std::to_string(n));
-      const std::vector<float> data = make_field(f, n, 0xA1);
-      for (unsigned shift : {0u, 8u, 15u}) {
-        std::vector<std::uint32_t> qs(n), qv(n);
-        k::scalar::ordered_from_f32(data.data(), qs.data(), n, shift);
-        k::vec::ordered_from_f32(data.data(), qv.data(), n, shift);
-        ASSERT_TRUE(same_bytes(qs, qv)) << "shift=" << shift;
-
-        const std::uint32_t half = shift == 0 ? 0 : (1u << (shift - 1));
-        std::vector<float> rs(n), rv(n);
-        k::scalar::f32_from_ordered(qs.data(), rs.data(), n, shift, half);
-        k::vec::f32_from_ordered(qs.data(), rv.data(), n, shift, half);
-        ASSERT_TRUE(same_bytes(rs, rv)) << "shift=" << shift;
-      }
-    }
-  }
-}
-
-TEST(SimdParity, OrderedMapDouble) {
-  REQUIRE_SIMD();
-  for (Field f : kAllFields) {
-    for (std::size_t n : tail_lengths()) {
-      SCOPED_TRACE(std::string(field_name(f)) + " n=" + std::to_string(n));
-      const std::vector<double> data = widen(make_field(f, n, 0xA2));
-      for (unsigned shift : {0u, 12u}) {
-        std::vector<std::uint64_t> qs(n), qv(n);
-        k::scalar::ordered_from_f64(data.data(), qs.data(), n, shift);
-        k::vec::ordered_from_f64(data.data(), qv.data(), n, shift);
-        ASSERT_TRUE(same_bytes(qs, qv));
-
-        const std::uint64_t half = shift == 0 ? 0 : (1ull << (shift - 1));
-        std::vector<double> rs(n), rv(n);
-        k::scalar::f64_from_ordered(qs.data(), rs.data(), n, shift, half);
-        k::vec::f64_from_ordered(qs.data(), rv.data(), n, shift, half);
-        ASSERT_TRUE(same_bytes(rs, rv));
-      }
-    }
-  }
-}
 
 // Shapes covering 1D tails, 2D with odd/even row widths, and 3D with every
 // plane/row/col remainder class the row-blocked kernels branch on.
@@ -154,7 +95,6 @@ const k::Dims kLorenzoShapes[] = {
 };
 
 TEST(SimdParity, LorenzoResidualsAndReconstruct32) {
-  REQUIRE_SIMD();
   for (Field f : {Field::kSmooth, Field::kDenormal, Field::kSpecials}) {
     for (const k::Dims& d : kLorenzoShapes) {
       const std::size_t n = d.planes * d.rows * d.cols;
@@ -162,11 +102,11 @@ TEST(SimdParity, LorenzoResidualsAndReconstruct32) {
                    "x" + std::to_string(d.rows) + "x" + std::to_string(d.cols));
       const std::vector<float> data = make_field(f, n, 0xA3);
       std::vector<std::uint32_t> q(n);
-      k::scalar::ordered_from_f32(data.data(), q.data(), n, 4);
+      k::ordered_from_f32(data.data(), q.data(), n, 4);
 
       std::vector<std::uint32_t> zs(n), zv(n);
-      k::scalar::lorenzo_residuals_u32(q.data(), zs.data(), d);
-      k::vec::lorenzo_residuals_u32(q.data(), zv.data(), d);
+      k::reference::lorenzo_residuals_u32(q.data(), zs.data(), d);
+      k::lorenzo_residuals_u32(q.data(), zv.data(), d);
       ASSERT_TRUE(same_bytes(zs, zv));
 
       // Cross-check against the predictor directly: the residual must be
@@ -178,8 +118,8 @@ TEST(SimdParity, LorenzoResidualsAndReconstruct32) {
       }
 
       std::vector<std::uint32_t> rs(n), rv(n);
-      k::scalar::lorenzo_reconstruct_u32(rs.data(), zs.data(), d);
-      k::vec::lorenzo_reconstruct_u32(rv.data(), zs.data(), d);
+      k::reference::lorenzo_reconstruct_u32(rs.data(), zs.data(), d);
+      k::lorenzo_reconstruct_u32(rv.data(), zs.data(), d);
       ASSERT_TRUE(same_bytes(rs, rv));
       ASSERT_TRUE(same_bytes(rs, q)) << "reconstruct must invert residuals";
     }
@@ -187,30 +127,28 @@ TEST(SimdParity, LorenzoResidualsAndReconstruct32) {
 }
 
 TEST(SimdParity, LorenzoResidualsAndReconstruct64) {
-  REQUIRE_SIMD();
   for (const k::Dims& d : kLorenzoShapes) {
     const std::size_t n = d.planes * d.rows * d.cols;
     SCOPED_TRACE("dims=" + std::to_string(d.planes) + "x" + std::to_string(d.rows) +
                  "x" + std::to_string(d.cols));
     const std::vector<double> data = widen(make_field(Field::kSpecials, n, 0xA4));
     std::vector<std::uint64_t> q(n);
-    k::scalar::ordered_from_f64(data.data(), q.data(), n, 4);
+    k::ordered_from_f64(data.data(), q.data(), n, 4);
 
     std::vector<std::uint64_t> zs(n), zv(n);
-    k::scalar::lorenzo_residuals_u64(q.data(), zs.data(), d);
-    k::vec::lorenzo_residuals_u64(q.data(), zv.data(), d);
+    k::reference::lorenzo_residuals_u64(q.data(), zs.data(), d);
+    k::lorenzo_residuals_u64(q.data(), zv.data(), d);
     ASSERT_TRUE(same_bytes(zs, zv));
 
     std::vector<std::uint64_t> rs(n), rv(n);
-    k::scalar::lorenzo_reconstruct_u64(rs.data(), zs.data(), d);
-    k::vec::lorenzo_reconstruct_u64(rv.data(), zs.data(), d);
+    k::reference::lorenzo_reconstruct_u64(rs.data(), zs.data(), d);
+    k::lorenzo_reconstruct_u64(rv.data(), zs.data(), d);
     ASSERT_TRUE(same_bytes(rs, rv));
     ASSERT_TRUE(same_bytes(rs, q));
   }
 }
 
 TEST(SimdParity, SortPermutation) {
-  REQUIRE_SIMD();
   for (Field f : kAllFields) {
     for (std::size_t n : tail_lengths()) {
       SCOPED_TRACE(std::string(field_name(f)) + " n=" + std::to_string(n));
@@ -223,21 +161,20 @@ TEST(SimdParity, SortPermutation) {
         data[n - 1] = data[0];
       }
       std::vector<std::uint32_t> ps(n), pv(n);
-      k::scalar::sort_perm_f32(data.data(), ps.data(), n);
-      k::vec::sort_perm_f32(data.data(), pv.data(), n);
+      k::reference::sort_perm_f32(data.data(), ps.data(), n);
+      k::sort_perm_f32(data.data(), pv.data(), n);
       ASSERT_TRUE(same_bytes(ps, pv));
 
       const std::vector<double> wide = widen(data);
       std::vector<std::uint32_t> ds(n), dv(n);
-      k::scalar::sort_perm_f64(wide.data(), ds.data(), n);
-      k::vec::sort_perm_f64(wide.data(), dv.data(), n);
+      k::reference::sort_perm_f64(wide.data(), ds.data(), n);
+      k::sort_perm_f64(wide.data(), dv.data(), n);
       ASSERT_TRUE(same_bytes(ds, dv));
     }
   }
 }
 
 TEST(SimdParity, ApaxQuantize) {
-  REQUIRE_SIMD();
   for (Field f : kAllFields) {
     for (std::size_t n : tail_lengths()) {
       if (n == 0) continue;
@@ -252,8 +189,8 @@ TEST(SimdParity, ApaxQuantize) {
         // `extra` sweeps the split between (bits+1)- and bits-wide samples.
         for (std::size_t extra : {std::size_t{0}, n / 3, n}) {
           std::vector<std::uint32_t> cs(n), cv(n);
-          k::scalar::apax_quantize(src.data(), 0, n, scale, bits, extra, cs.data());
-          k::vec::apax_quantize(src.data(), 0, n, scale, bits, extra, cv.data());
+          k::reference::apax_quantize(src.data(), 0, n, scale, bits, extra, cs.data());
+          k::apax_quantize(src.data(), 0, n, scale, bits, extra, cv.data());
           ASSERT_TRUE(same_bytes(cs, cv)) << "bits=" << bits << " extra=" << extra;
         }
       }
@@ -262,7 +199,6 @@ TEST(SimdParity, ApaxQuantize) {
 }
 
 TEST(SimdParity, Grib2Quantize) {
-  REQUIRE_SIMD();
   for (Field f : kAllFields) {
     for (std::size_t n : tail_lengths()) {
       if (n == 0) continue;
@@ -272,16 +208,15 @@ TEST(SimdParity, Grib2Quantize) {
       for (const std::uint8_t* valid : {static_cast<const std::uint8_t*>(nullptr),
                                         mask.data()}) {
         std::vector<std::int64_t> qs(n), qv(n);
-        k::scalar::grib2_quantize(data.data(), valid, qs.data(), n, -41.75, 0.03125);
-        k::vec::grib2_quantize(data.data(), valid, qv.data(), n, -41.75, 0.03125);
+        k::reference::grib2_quantize(data.data(), valid, qs.data(), n, -41.75, 0.03125);
+        k::grib2_quantize(data.data(), valid, qv.data(), n, -41.75, 0.03125);
         ASSERT_TRUE(same_bytes(qs, qv)) << (valid ? "masked" : "unmasked");
       }
     }
   }
 }
 
-TEST(SimdParity, Dwt53RowsAndCols) {
-  REQUIRE_SIMD();
+TEST(SimdParity, Dwt53Cols) {
   Pcg32 rng(0xA9);
   // Row/column limits hitting odd/even splits and every blocked-column
   // remainder; `cols` (the stride) can exceed c_lim as in multi-level DWT.
@@ -298,63 +233,11 @@ TEST(SimdParity, Dwt53RowsAndCols) {
     }
     for (const bool inverse : {false, true}) {
       std::vector<std::int64_t> a = base, b = base;
-      k::scalar::dwt53_rows(a.data(), s.cols, s.r_lim, s.c_lim, inverse);
-      k::vec::dwt53_rows(b.data(), s.cols, s.r_lim, s.c_lim, inverse);
-      ASSERT_EQ(a, b) << "rows inverse=" << inverse;
-
-      a = base;
-      b = base;
-      k::scalar::dwt53_cols(a.data(), s.cols, s.r_lim, s.c_lim, inverse);
-      k::vec::dwt53_cols(b.data(), s.cols, s.r_lim, s.c_lim, inverse);
-      ASSERT_EQ(a, b) << "cols inverse=" << inverse;
+      k::reference::dwt53_cols(a.data(), s.cols, s.r_lim, s.c_lim, inverse);
+      k::dwt53_cols(b.data(), s.cols, s.r_lim, s.c_lim, inverse);
+      ASSERT_EQ(a, b) << "inverse=" << inverse;
     }
   }
-}
-
-// Stream-level closure: under forced kScalar and kSimd modes each codec
-// family must produce byte-identical streams and bit-identical decodes.
-TEST(SimdParity, CodecStreamsBitIdenticalAcrossModes) {
-  REQUIRE_SIMD();
-  const char* variants[] = {"fpzip-24", "fpzip-16", "ISA-0.5", "APAX-2", "GRIB2:3"};
-  for (const char* variant : variants) {
-    const CodecPtr codec = make_variant(variant);
-    for (Field f : {Field::kSmooth, Field::kDenormal}) {
-      for (std::size_t n : {std::size_t{1021}, std::size_t{4096}}) {
-        SCOPED_TRACE(std::string(variant) + " " + field_name(f) + " n=" +
-                     std::to_string(n));
-        const std::vector<float> data = make_field(f, n, 0xAB);
-        const Shape shape = n % 4 == 0 ? Shape::d2(4, n / 4) : Shape::d1(n);
-
-        Bytes stream_scalar, stream_simd;
-        std::vector<float> out_scalar, out_simd;
-        {
-          simd::ScopedMode scoped(simd::Mode::kScalar);
-          stream_scalar = codec->encode(data, shape);
-          out_scalar = codec->decode(stream_scalar);
-        }
-        {
-          simd::ScopedMode scoped(simd::Mode::kSimd);
-          stream_simd = codec->encode(data, shape);
-          out_simd = codec->decode(stream_scalar);
-        }
-        ASSERT_EQ(stream_scalar, stream_simd);
-        ASSERT_EQ(out_scalar.size(), out_simd.size());
-        ASSERT_EQ(0, std::memcmp(out_scalar.data(), out_simd.data(),
-                                 out_scalar.size() * sizeof(float)));
-      }
-    }
-  }
-}
-
-TEST(SimdParity, ModeNamesAndOverride) {
-  EXPECT_STREQ("scalar", simd::mode_name(simd::Mode::kScalar));
-  EXPECT_STREQ("simd", simd::mode_name(simd::Mode::kSimd));
-  const simd::Mode before = simd::active_mode();
-  {
-    simd::ScopedMode scoped(simd::Mode::kScalar);
-    EXPECT_EQ(simd::Mode::kScalar, simd::active_mode());
-  }
-  EXPECT_EQ(before, simd::active_mode());
 }
 
 }  // namespace

@@ -125,20 +125,6 @@ TEST(SuiteDeterminism, RepeatedWideRunsAgree) {
   expect_identical(a, b);
 }
 
-TEST(SuiteDeterminism, BitIdenticalAcrossVariantJobsSettings) {
-  // The variant-sweep engine's scheduling knob must be invisible in the
-  // results: serial catalog order (jobs=1), about-4-task splitting
-  // (jobs=4) and one-task-per-variant (jobs=0) all land verdicts in the
-  // same fixed slots with the same bits.
-  const SuiteResults serial = run_with_threads(4);  // variant_jobs = 1 default
-  SuiteConfig four = fast_config();
-  four.variant_jobs = 4;
-  expect_identical(serial, run_with_threads(4, four));
-  SuiteConfig full = fast_config();
-  full.variant_jobs = 0;
-  expect_identical(serial, run_with_threads(4, full));
-}
-
 TEST(SuiteDeterminism, BitIdenticalWithPlanCacheDisabled) {
   // Shared encode-prep plans are pure memoization: a run with the plan
   // cache off (every encode direct) must be bit-identical to the default.
@@ -146,10 +132,6 @@ TEST(SuiteDeterminism, BitIdenticalWithPlanCacheDisabled) {
   SuiteConfig direct = fast_config();
   direct.plan_cache_bytes = 0;
   expect_identical(planned, run_with_threads(2, direct));
-  // And the parallel sweep with plans matches the direct serial run too.
-  SuiteConfig parallel_planned = fast_config();
-  parallel_planned.variant_jobs = 0;
-  expect_identical(planned, run_with_threads(2, parallel_planned));
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Strict env parsing: the CESM_CACHE_MB "-1" wraparound bug class.
+// Strict env and flag parsing: the CESM_CACHE_MB "-1" wraparound bug class.
 //
-// parse_env_u64 is the policy chokepoint for every numeric CESM_*
-// variable; these tests pin the reject set (signs, garbage, overflow)
-// and the accept set (plain digits, surrounding whitespace) so a future
+// parse_u64 is the policy chokepoint for every numeric CESM_* variable
+// (parse_env_u64) and every numeric command-line flag (parse_flag_u64);
+// these tests pin the reject set (signs, garbage, overflow) and the
+// accept set (plain digits, surrounding whitespace) so a future
 // "convenience" relaxation cannot quietly reintroduce strtoull
 // semantics.
 
@@ -60,6 +61,23 @@ TEST(EnvParse, EnvLookupReadsAndRejectsLikeTheParser) {
   EXPECT_EQ(env_u64("CESM_TEST_ENV_U64"), std::nullopt);
   ::unsetenv("CESM_TEST_ENV_U64");
   EXPECT_EQ(env_u64("CESM_TEST_ENV_U64"), std::nullopt);
+}
+
+TEST(FlagParse, SharesTheStrictDecimalParser) {
+  EXPECT_EQ(parse_u64("101"), std::uint64_t{101});
+  EXPECT_EQ(parse_u64(" 7 "), std::uint64_t{7});
+  for (const char* bad : {"-1", "abc", "x", "64k", "+3", "", "1.5", "18446744073709551616"}) {
+    EXPECT_EQ(parse_u64(bad), std::nullopt) << bad;
+    EXPECT_EQ(parse_flag_u64("--members", bad), std::nullopt) << bad;
+  }
+  EXPECT_EQ(parse_flag_u64("--members", "101"), std::uint64_t{101});
+}
+
+TEST(FlagParse, EnforcesTheFlagsBounds) {
+  EXPECT_EQ(parse_flag_u64("--members", "2", 3), std::nullopt);
+  EXPECT_EQ(parse_flag_u64("--members", "3", 3), std::uint64_t{3});
+  EXPECT_EQ(parse_flag_u64("--port", "65535", 0, 65535), std::uint64_t{65535});
+  EXPECT_EQ(parse_flag_u64("--port", "65536", 0, 65535), std::nullopt);
 }
 
 }  // namespace

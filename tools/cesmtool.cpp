@@ -16,9 +16,13 @@
 //       chunk-by-chunk under the CESM_MEM_MB budget instead of holding
 //       the ensemble in memory
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,6 +35,7 @@
 #include "core/report.h"
 #include "core/suite.h"
 #include "ncio/dataset.h"
+#include "util/env.h"
 #include "util/memory.h"
 #include "util/signals.h"
 
@@ -48,7 +53,7 @@ int usage() {
                "  diff <a.cnc> <b.cnc>\n"
                "  suite [--full-grid] [--scale=paper] [--members=N] [--vars=N]\n"
                "        [--chunk=N] [--spill-dir=DIR] [--jobs=N] [--reuse-spill]\n"
-               "        [--spill-budget-mb=N] [--variant-jobs=N] [--no-bias]\n"
+               "        [--spill-budget-mb=N] [--no-bias]\n"
                "        [--out=results.csv]\n"
                "    --full-grid streams each variable chunk-by-chunk (out-of-core)\n"
                "    --jobs=N runs N variables concurrently under one shared\n"
@@ -56,9 +61,8 @@ int usage() {
                "    content-addresses spill files so a later run skips synthesis\n"
                "    under the CESM_MEM_MB logical budget; verdicts are bitwise\n"
                "    identical to the in-core pipeline on the same chunk partition\n"
-               "    --variant-jobs=N sweeps N codec variants concurrently per\n"
-               "    variable (1 = serial, 0 = one task per variant); the CSV is\n"
-               "    byte-identical at every setting\n");
+               "  numeric flags take non-negative decimal integers; a malformed\n"
+               "  value is a usage error (exit 2)\n");
   return 2;
 }
 
@@ -69,19 +73,54 @@ bool has_flag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-std::string opt_value(int argc, char** argv, const char* prefix) {
+const char* find_opt(int argc, char** argv, const char* prefix) {
   const std::size_t n = std::strlen(prefix);
   for (int i = 2; i < argc; ++i) {
     if (std::strncmp(argv[i], prefix, n) == 0) return argv[i] + n;
   }
-  return "";
+  return nullptr;
+}
+
+std::string opt_value(int argc, char** argv, const char* prefix) {
+  const char* value = find_opt(argc, argv, prefix);
+  return value == nullptr ? "" : value;
+}
+
+/// Numeric flag `prefix` (e.g. "--members=") parsed strictly into `out`
+/// within [lo, hi]; an absent flag leaves `out` untouched. False, after a
+/// message naming the flag, when the value is malformed or out of range.
+template <typename T>
+bool u64_opt(int argc, char** argv, const char* prefix, T& out, std::uint64_t lo = 0,
+             std::uint64_t hi = std::numeric_limits<T>::max()) {
+  const char* value = find_opt(argc, argv, prefix);
+  if (value == nullptr) return true;
+  const std::string flag(prefix, std::strlen(prefix) - 1);  // drop the '='
+  const std::optional<std::uint64_t> v = util::parse_flag_u64(flag.c_str(), value, lo, hi);
+  if (!v) return false;
+  out = static_cast<T>(*v);
+  return true;
+}
+
+/// The first `limit` catalog variables; empty (every variable) for 0.
+std::vector<std::string> first_variables(const climate::EnsembleGenerator& ens,
+                                         std::size_t limit) {
+  std::vector<std::string> vars;
+  for (const climate::VariableSpec& v : ens.catalog()) {
+    if (vars.size() >= limit) break;
+    vars.push_back(v.name);
+  }
+  return vars;
 }
 
 int cmd_generate(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string out = argv[2];
-  const std::string member_s = opt_value(argc, argv, "--member=");
-  const std::string vars_s = opt_value(argc, argv, "--vars=");
+  std::uint32_t member = 1;
+  std::size_t var_limit = 0;
+  if (!u64_opt(argc, argv, "--member=", member) ||
+      !u64_opt(argc, argv, "--vars=", var_limit)) {
+    return usage();
+  }
   const bool paper = opt_value(argc, argv, "--scale=") == "paper";
 
   climate::EnsembleSpec spec;
@@ -89,16 +128,7 @@ int cmd_generate(int argc, char** argv) {
   spec.members = 3;
   const climate::EnsembleGenerator ens(spec);
 
-  const auto member = static_cast<std::uint32_t>(
-      member_s.empty() ? 1 : std::strtoul(member_s.c_str(), nullptr, 10));
-  std::vector<std::string> vars;
-  if (!vars_s.empty()) {
-    const std::size_t limit = std::strtoull(vars_s.c_str(), nullptr, 10);
-    for (const climate::VariableSpec& v : ens.catalog()) {
-      if (vars.size() >= limit) break;
-      vars.push_back(v.name);
-    }
-  }
+  const std::vector<std::string> vars = first_variables(ens, var_limit);
   const ncio::Dataset ds = climate::make_history(ens, member, vars);
   ds.write_file(out);
   std::printf("wrote %s: %zu variables, member %u, %zu columns x %zu levels\n",
@@ -146,9 +176,15 @@ int cmd_compress(int argc, char** argv) {
   if (argc < 5) return usage();
   const std::string codec_spec = opt_value(argc, argv, "--codec=");
   if (codec_spec.empty()) return usage();
-  const std::string rho_s = opt_value(argc, argv, "--min-rho=");
-  const double min_rho = rho_s.empty() ? core::kPearsonThreshold
-                                       : std::strtod(rho_s.c_str(), nullptr);
+  double min_rho = core::kPearsonThreshold;
+  if (const char* rho_s = find_opt(argc, argv, "--min-rho=")) {
+    char* end = nullptr;
+    min_rho = std::strtod(rho_s, &end);
+    if (end == rho_s || *end != '\0' || !(min_rho >= -1.0 && min_rho <= 1.0)) {
+      std::fprintf(stderr, "--min-rho: not a correlation in [-1, 1]: \"%s\"\n", rho_s);
+      return usage();
+    }
+  }
 
   ncio::Dataset ds = ncio::Dataset::read_file(argv[2]);
   std::size_t lossy = 0, lossless = 0;
@@ -238,52 +274,32 @@ int cmd_diff(int argc, char** argv) {
 int cmd_suite(int argc, char** argv) {
   const bool full_grid = has_flag(argc, argv, "--full-grid");
   const bool paper = opt_value(argc, argv, "--scale=") == "paper";
-  const std::string members_s = opt_value(argc, argv, "--members=");
-  const std::string vars_s = opt_value(argc, argv, "--vars=");
-  const std::string chunk_s = opt_value(argc, argv, "--chunk=");
   const std::string spill_dir = opt_value(argc, argv, "--spill-dir=");
-  const std::string jobs_s = opt_value(argc, argv, "--jobs=");
-  const bool reuse_spill = has_flag(argc, argv, "--reuse-spill");
-  const std::string spill_budget_s = opt_value(argc, argv, "--spill-budget-mb=");
-  const std::string variant_jobs_s = opt_value(argc, argv, "--variant-jobs=");
   const std::string out = opt_value(argc, argv, "--out=");
 
   climate::EnsembleSpec espec;
   espec.grid = paper ? climate::GridSpec::paper() : climate::GridSpec::reduced();
-  espec.members = members_s.empty()
-                      ? 9
-                      : std::strtoull(members_s.c_str(), nullptr, 10);
-  const climate::EnsembleGenerator ens(espec);
-
-  std::vector<std::string> vars;
-  if (!vars_s.empty()) {
-    const std::size_t limit = std::strtoull(vars_s.c_str(), nullptr, 10);
-    for (const climate::VariableSpec& v : ens.catalog()) {
-      if (vars.size() >= limit) break;
-      vars.push_back(v.name);
-    }
-  }
-
+  espec.members = 9;
+  std::size_t var_limit = 0;
+  std::uint64_t spill_budget_mb = 0;
   core::OocConfig cfg;
-  if (!chunk_s.empty()) cfg.chunk_elems = std::strtoull(chunk_s.c_str(), nullptr, 10);
+  // The suite draws its three test members from the ensemble.
+  if (!u64_opt(argc, argv, "--members=", espec.members, 3) ||
+      !u64_opt(argc, argv, "--vars=", var_limit) ||
+      !u64_opt(argc, argv, "--chunk=", cfg.chunk_elems) ||
+      !u64_opt(argc, argv, "--jobs=", cfg.parallel_variables) ||
+      !u64_opt(argc, argv, "--spill-budget-mb=", spill_budget_mb, 0, UINT64_MAX >> 20)) {
+    return usage();
+  }
+  const climate::EnsembleGenerator ens(espec);
+  const std::vector<std::string> vars = first_variables(ens, var_limit);
+
   if (!spill_dir.empty()) cfg.spill_dir = spill_dir;
-  if (!jobs_s.empty()) {
-    cfg.parallel_variables = std::strtoull(jobs_s.c_str(), nullptr, 10);
-  }
-  cfg.reuse_spill = reuse_spill;
-  if (!spill_budget_s.empty()) {
-    cfg.spill_budget_bytes =
-        std::strtoull(spill_budget_s.c_str(), nullptr, 10) << 20;
-  }
+  cfg.reuse_spill = has_flag(argc, argv, "--reuse-spill");
+  cfg.spill_budget_bytes = spill_budget_mb << 20;
   cfg.memory_budget_bytes = util::memory_budget_bytes().value_or(0);
   cfg.suite.run_bias = !has_flag(argc, argv, "--no-bias");
   cfg.suite.chunk_elems = cfg.chunk_elems;
-  if (!variant_jobs_s.empty()) {
-    // Scheduling only: verdicts land in fixed catalog-order slots, so the
-    // CSV is byte-identical at any setting (1 = serial, 0 = one task per
-    // variant, N = about N concurrent tasks per variable).
-    cfg.suite.variant_jobs = std::strtoull(variant_jobs_s.c_str(), nullptr, 10);
-  }
 
   core::SuiteResults results;
   if (full_grid) {
@@ -345,7 +361,8 @@ int main(int argc, char** argv) {
       return util::interrupt_exit_code();
     }
     return rc;
-  } catch (const cesm::Error& e) {
+  } catch (const std::exception& e) {
+    // cesm::Error (bad files, codec failures) and resource exhaustion alike.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
