@@ -242,35 +242,47 @@ struct FullGridBench {
   bool parity = false;
 };
 
-FullGridBench run_full_grid_phase(const bench::Options& options) {
-  FullGridBench fg;
-  fg.enabled = true;
-  fg.variable = "U";  // 3-D spotlight: the largest per-member field
-  ScopedScheduler scoped(options.threads);
-
-  // Always the paper's grid — that is the point of the mode. --quick only
-  // shrinks the member count (still big enough that the in-core twin's
-  // resident ensemble dwarfs the streaming working set).
+/// The ensemble every --full-grid leg runs on: always the paper's grid —
+/// that is the point of the mode. --quick only shrinks the member count
+/// (still big enough that an in-core twin's resident ensemble dwarfs the
+/// streaming working set).
+climate::EnsembleSpec paper_grid_spec(const bench::Options& options) {
   climate::EnsembleSpec spec;
   spec.grid = climate::GridSpec::paper();
   spec.members = options.quick ? 57 : 101;
-  fg.members = spec.members;
-  const climate::EnsembleGenerator ensemble(spec);
-  const climate::VariableSpec& var = ensemble.variable(fg.variable);
-  fg.elems_per_member = ensemble.field_elems(var);
+  return spec;
+}
 
+/// The streaming configuration of every --full-grid leg.
+core::OocConfig paper_grid_ooc_config(const bench::Options& options) {
   core::OocConfig ooc;
   ooc.chunk_elems = 1 << 16;
   if (const char* dir = std::getenv("CESM_SPILL_DIR")) ooc.spill_dir = dir;
   ooc.memory_budget_bytes = util::memory_budget_bytes().value_or(0);
   ooc.suite = bench::suite_config(options);
   // The bias sweep round-trips every member through every variant; the
-  // full-grid leg bounds itself to the three PVT tests (bias parity is
+  // full-grid legs bound themselves to the three PVT tests (bias parity is
   // covered bit-for-bit by the unit tests on a small grid).
   ooc.suite.run_bias = false;
   ooc.suite.test_member_count = options.quick ? 2 : 3;
-  // The in-core twin must measure through the identical chunk partition.
+  // The in-core twins must measure through the identical chunk partition.
   ooc.suite.chunk_elems = ooc.chunk_elems;
+  return ooc;
+}
+
+FullGridBench run_full_grid_phase(const bench::Options& options) {
+  FullGridBench fg;
+  fg.enabled = true;
+  fg.variable = "U";  // 3-D spotlight: the largest per-member field
+  ScopedScheduler scoped(options.threads);
+
+  const climate::EnsembleSpec spec = paper_grid_spec(options);
+  fg.members = spec.members;
+  const climate::EnsembleGenerator ensemble(spec);
+  const climate::VariableSpec& var = ensemble.variable(fg.variable);
+  fg.elems_per_member = ensemble.field_elems(var);
+
+  const core::OocConfig ooc = paper_grid_ooc_config(options);
   fg.chunk_elems = ooc.chunk_elems;
   fg.budget_cap_bytes = ooc.memory_budget_bytes;
 
@@ -316,18 +328,6 @@ std::vector<std::string> surface_variables(const climate::EnsembleGenerator& ens
   return names;
 }
 
-core::OocConfig surface_ooc_config(const bench::Options& options) {
-  core::OocConfig ooc;
-  ooc.chunk_elems = 1 << 16;
-  if (const char* dir = std::getenv("CESM_SPILL_DIR")) ooc.spill_dir = dir;
-  ooc.memory_budget_bytes = util::memory_budget_bytes().value_or(0);
-  ooc.suite = bench::suite_config(options);
-  ooc.suite.run_bias = false;
-  ooc.suite.test_member_count = options.quick ? 2 : 3;
-  ooc.suite.chunk_elems = ooc.chunk_elems;
-  return ooc;
-}
-
 /// --full-grid: the multi-variable contention leg. Four paper-scale 2-D
 /// variables are streamed under one shared CESM_MEM_MB budget three ways:
 /// serially (1 job), as 4 concurrent jobs, and through the in-core
@@ -366,14 +366,12 @@ MultiVarBench run_multi_var_phase(const bench::Options& options) {
   ScopedScheduler scoped(options.threads);
   mv.workers = scoped.scheduler().thread_count();
 
-  climate::EnsembleSpec spec;
-  spec.grid = climate::GridSpec::paper();
-  spec.members = options.quick ? 57 : 101;
+  const climate::EnsembleSpec spec = paper_grid_spec(options);
   mv.members = spec.members;
   const climate::EnsembleGenerator ensemble(spec);
   mv.variables = surface_variables(ensemble, 4);
 
-  core::OocConfig ooc = surface_ooc_config(options);
+  core::OocConfig ooc = paper_grid_ooc_config(options);
   mv.chunk_elems = ooc.chunk_elems;
   mv.budget_cap_bytes = ooc.memory_budget_bytes;
 
@@ -440,13 +438,10 @@ SpillReuseBench run_spill_reuse_phase(const bench::Options& options) {
   sr.enabled = true;
   ScopedScheduler scoped(options.threads);
 
-  climate::EnsembleSpec spec;
-  spec.grid = climate::GridSpec::paper();
-  spec.members = options.quick ? 57 : 101;
-  const climate::EnsembleGenerator ensemble(spec);
+  const climate::EnsembleGenerator ensemble(paper_grid_spec(options));
   sr.variables = surface_variables(ensemble, 2);
 
-  core::OocConfig ooc = surface_ooc_config(options);
+  core::OocConfig ooc = paper_grid_ooc_config(options);
   std::string base = ooc.spill_dir;
   const std::string store =
       base + "/cesm-reuse-bench-" + std::to_string(static_cast<long>(getpid()));

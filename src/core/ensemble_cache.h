@@ -18,7 +18,7 @@
 //     and runs; entries are checksummed and versioned, and anything
 //     stale, truncated or corrupt is regenerated, never trusted.
 //
-// Determinism contract: EnsembleStats::build() is bit-deterministic at
+// Determinism contract: SufficientStats::build() is bit-deterministic at
 // any thread count and serialization round-trips exact bits, so a run
 // with a warm cache (either tier), a cold cache, or the cache disabled
 // produces bit-identical results. tests/core/test_ensemble_cache.cpp

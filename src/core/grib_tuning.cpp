@@ -23,7 +23,7 @@ GribTuning rmsz_guided_decimal_scale(const MemberSource& source,
   verifier.set_plan_store(plans);
 
   // Magnitude-based starting point from the probe member's range.
-  const stats::Summary summary = source.member_summary(test_members.front());
+  const stats::Summary summary = source.stats().member_summary(test_members.front());
   const int d0 = comp::choose_decimal_scale(summary.min, summary.max, significant_digits);
 
   GribTuning tuning;

@@ -23,10 +23,6 @@ ResidentMembers::ResidentMembers(const EnsembleStats& stats)
 
 std::string ResidentMembers::variable() const { return stats_.member(0).name; }
 
-stats::Summary ResidentMembers::member_summary(std::size_t m) const {
-  return stats::summarize(std::span<const float>(stats_.member(m).data), mask());
-}
-
 Bytes ResidentMembers::encode(const comp::Codec& codec, std::size_t m,
                               comp::PlanStore* plans) const {
   const climate::Field& original = stats_.member(m);

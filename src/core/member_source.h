@@ -3,16 +3,17 @@
 // compressed member is assessed (§4.3).
 //
 // The verification pipeline (core/pvt.h, core/grib_tuning.h, the variable
-// body in core/suite.h) needs two things from an ensemble: the sufficient
-// statistics the verdict is scored against (per-point sum/sum², the
-// validity mask, the RMSZ and E_nmax distributions, member summaries), and
-// a way to round-trip member m through a codec. A MemberSource provides
-// both. The round trip hands each (original, reconstructed) chunk pair to
-// a visitor together with its element offset, in order, and returns the
-// compression ratio; a reconstruction (the bias sweep's path) hands over
-// the same pairs without producing a stream. The pipeline feeds the pairs
-// to the streaming kernels (stats/kernels.h), which reproduce the one-shot
-// accumulators bit for bit for any chunk partition.
+// body in core/suite.h) needs two things from an ensemble: the
+// SufficientStats the verdict is scored against (core/rmsz.h: per-point
+// sum/sum², the validity mask, the RMSZ and E_nmax distributions, member
+// summaries), and a way to round-trip member m through a codec. A
+// MemberSource provides both. The round trip hands each (original,
+// reconstructed) chunk pair to a visitor together with its element offset,
+// in order, and returns the compression ratio; a reconstruction (the bias
+// sweep's path) hands over the same pairs without producing a stream. The
+// pipeline feeds the pairs to the streaming kernels (stats/kernels.h),
+// which reproduce the one-shot accumulators bit for bit for any chunk
+// partition.
 //
 // Two sources exist. ResidentMembers (below) serves members held in an
 // EnsembleStats: the whole field is one chunk, encoded through the codec as
@@ -76,20 +77,10 @@ class MemberSource {
   MemberSource(MemberSource&&) = delete;
   MemberSource& operator=(MemberSource&&) = delete;
 
-  [[nodiscard]] std::size_t member_count() const { return rmsz_dist_->size(); }
-  [[nodiscard]] std::span<const std::uint8_t> mask() const { return mask_; }
-  [[nodiscard]] std::span<const double> sum() const { return sum_; }
-  [[nodiscard]] std::span<const double> sum_sq() const { return sum_sq_; }
-  [[nodiscard]] double rmsz(std::size_t m) const { return (*rmsz_dist_)[m]; }
-  [[nodiscard]] const std::vector<double>& rmsz_distribution() const {
-    return *rmsz_dist_;
-  }
-  [[nodiscard]] std::pair<double, double> rmsz_range() const { return rmsz_range_; }
-  [[nodiscard]] double enmax_range() const { return enmax_range_; }
+  /// The statistics every verdict on these members is scored against.
+  [[nodiscard]] const SufficientStats& stats() const { return stats_; }
 
   [[nodiscard]] virtual std::string variable() const = 0;
-  /// The §4.1 summary of member m over valid points.
-  [[nodiscard]] virtual stats::Summary member_summary(std::size_t m) const = 0;
 
   /// Encode member m through `codec` (plan-driven when `plans` is
   /// non-null), decode it, pass every chunk pair to `visit` in offset
@@ -109,24 +100,11 @@ class MemberSource {
                            comp::PlanStore* plans, const ChunkVisitor& visit) const = 0;
 
  protected:
-  /// Captures the statistics of an EnsembleStats-shaped object, which
-  /// must outlive the source.
-  template <class Stats>
-  explicit MemberSource(const Stats& stats)
-      : mask_(stats.mask()),
-        sum_(stats.sum()),
-        sum_sq_(stats.sum_sq()),
-        rmsz_dist_(&stats.rmsz_distribution()),
-        rmsz_range_(stats.rmsz_range()),
-        enmax_range_(stats.enmax_range()) {}
+  /// Scores against `stats`, which must outlive the source.
+  explicit MemberSource(const SufficientStats& stats) : stats_(stats) {}
 
  private:
-  std::span<const std::uint8_t> mask_;
-  std::span<const double> sum_;
-  std::span<const double> sum_sq_;
-  const std::vector<double>* rmsz_dist_;
-  std::pair<double, double> rmsz_range_;
-  double enmax_range_;
+  const SufficientStats& stats_;
 };
 
 /// Members resident in an EnsembleStats (which must outlive the source).
@@ -135,7 +113,6 @@ class ResidentMembers final : public MemberSource {
   explicit ResidentMembers(const EnsembleStats& stats);
 
   [[nodiscard]] std::string variable() const override;
-  [[nodiscard]] stats::Summary member_summary(std::size_t m) const override;
   double round_trip(const comp::Codec& codec, std::size_t m, comp::PlanStore* plans,
                     const ChunkVisitor& visit) const override;
   [[nodiscard]] double encoded_cr(const comp::Codec& codec, std::size_t m,

@@ -7,7 +7,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -45,11 +44,6 @@ std::size_t max_chunk_elems(std::span<const std::size_t> offsets) {
   }
   return worst;
 }
-
-/// Concurrent buffer "lanes": tasks of a parallel loop execute on the
-/// worker threads plus the caller (parallel_for helps). Budget allowances
-/// for per-task buffers are charged for this many simultaneous tasks.
-std::size_t buffer_lanes() { return Scheduler::global().thread_count() + 1; }
 
 /// One prefetched chunk read running on the scheduler.
 struct ReadTask final : Task {
@@ -117,160 +111,46 @@ void walk_member_chunks(const ncio::ChunkStoreReader& store, std::uint32_t membe
 
 }  // namespace
 
-StreamingStats::StreamingStats(const ncio::ChunkStoreReader& store,
-                               util::MemoryBudget& budget) {
-  trace::Span span("ooc.stats");
-  member_count_ = store.member_count();
-  CESM_REQUIRE(member_count_ >= 3);
-  n_ = store.total_elems();
-  const std::vector<std::size_t>& offsets = store.chunk_offsets();
-  const std::size_t chunks = store.chunk_count();
-  const std::size_t max_chunk = max_chunk_elems(offsets);
-  const bool has_fill = store.fill().has_value();
-  constexpr float kInf = std::numeric_limits<float>::infinity();
+namespace {
 
-  // Resident per-point arrays: sum + sum_sq (2 x 8) + the four extreme
-  // planes (4 x 4) + the two arg planes (2 x 4) = 40 bytes per point,
-  // plus the mask byte while it exists.
-  budget.charge("ooc.point_stats",
-                static_cast<std::uint64_t>(n_) * (40 + (has_fill ? 1 : 0)));
-  sum_.assign(n_, 0.0);
-  sum_sq_.assign(n_, 0.0);
-  max1_.assign(n_, -kInf);
-  max2_.assign(n_, -kInf);
-  min1_.assign(n_, kInf);
-  min2_.assign(n_, kInf);
-  argmax_.assign(n_, 0);
-  argmin_.assign(n_, 0);
-  if (has_fill) mask_.assign(n_, 1);
+/// A staged variable's members as the statistics build reads them: pass 1
+/// reads single chunks, pass 2 walks each member double-buffered.
+class StoreChunks final : public MemberChunks {
+ public:
+  explicit StoreChunks(const ncio::ChunkStoreReader& store) : store_(store) {}
 
-  // Pass 1 — parallel over chunks: each task owns one chunk buffer and a
-  // disjoint point slice, and walks the members in order within it (the
-  // member-major-per-point order EnsembleStats::build uses, so the float
-  // adds and the argmax tie-breaks are bit-identical). Member 0 derives
-  // the validity mask slice; later members must agree on it, exactly as
-  // EnsembleStats requires of resident fields.
-  const std::uint64_t pass1_bytes =
-      static_cast<std::uint64_t>(buffer_lanes()) * max_chunk * sizeof(float);
-  budget.charge("ooc.pass1_buffers", pass1_bytes);
-  const float fill = store.fill().value_or(0.0f);
-  parallel_for(0, chunks, [&](std::size_t c) {
-    const std::size_t lo = offsets[c];
-    const std::size_t len = store.chunk_elems(c);
-    std::vector<float> buf(len);
-    const std::span<std::uint8_t> mask_slice =
-        has_fill ? std::span<std::uint8_t>(mask_).subspan(lo, len)
-                 : std::span<std::uint8_t>{};
-    for (std::size_t m = 0; m < member_count_; ++m) {
-      store.read_chunk(static_cast<std::uint32_t>(m), c, buf);
-      if (has_fill) {
-        if (m == 0) {
-          for (std::size_t i = 0; i < len; ++i) {
-            mask_slice[i] = buf[i] == fill ? std::uint8_t{0} : std::uint8_t{1};
-          }
-        } else {
-          for (std::size_t i = 0; i < len; ++i) {
-            // Every member must share one fill pattern or sum_/sum_sq_
-            // would silently absorb fill values (same contract as
-            // EnsembleStats' effective_mask check).
-            CESM_REQUIRE((buf[i] == fill) == (mask_slice[i] == 0));
-          }
-        }
-      }
-      stats::kernels::accumulate_sum_sq(buf, mask_slice,
-                                        std::span<double>(sum_).subspan(lo, len),
-                                        std::span<double>(sum_sq_).subspan(lo, len));
-      stats::kernels::update_extremes(
-          buf, mask_slice, static_cast<std::uint32_t>(m),
-          std::span<float>(max1_).subspan(lo, len),
-          std::span<float>(max2_).subspan(lo, len),
-          std::span<std::uint32_t>(argmax_).subspan(lo, len),
-          std::span<float>(min1_).subspan(lo, len),
-          std::span<float>(min2_).subspan(lo, len),
-          std::span<std::uint32_t>(argmin_).subspan(lo, len));
-    }
-  });
-  budget.release(pass1_bytes);
-
-  // Normalize: a fill pattern that never fires is the same as no fill at
-  // all (EnsembleStats' effective_mask), so downstream kernels take the
-  // dense path and verdicts match fill-free variables bit for bit.
-  if (has_fill) {
-    valid_points_ = stats::kernels::count_valid(mask_, n_);
-    if (valid_points_ == n_) {
-      mask_.clear();
-      mask_.shrink_to_fit();
-      budget.release(n_);
-    }
-  } else {
-    valid_points_ = n_;
+  [[nodiscard]] std::size_t member_count() const override { return store_.member_count(); }
+  [[nodiscard]] std::span<const std::size_t> offsets() const override {
+    return store_.chunk_offsets();
   }
-  CESM_REQUIRE(valid_points_ > 0);
+  [[nodiscard]] std::optional<float> fill() const override { return store_.fill(); }
+  [[nodiscard]] std::size_t buffer_elems() const override {
+    return max_chunk_elems(store_.chunk_offsets());
+  }
 
-  // Pass 2 — parallel over members: each member streams its chunks once
-  // more through the block-realigning moment/z-score streams (bit-equal
-  // to the one-shot kernels on the whole array) and folds its
-  // leave-one-out max distance. Reads are double-buffered per member.
-  member_summary_.resize(member_count_);
-  ranges_.resize(member_count_);
-  global_means_.resize(member_count_);
-  rmsz_dist_.resize(member_count_);
-  enmax_dist_.resize(member_count_);
-  budget.charge("ooc.member_stats",
-                static_cast<std::uint64_t>(member_count_) *
-                    (sizeof(stats::Summary) + 4 * sizeof(double)));
-  const std::uint64_t pass2_bytes =
-      static_cast<std::uint64_t>(buffer_lanes()) * 2 * max_chunk * sizeof(float);
-  budget.charge("ooc.pass2_buffers", pass2_bytes);
-  const bool masked = !mask_.empty();
-  const std::span<const std::uint8_t> mask(mask_);
-  parallel_for(0, member_count_, [&](std::size_t m) {
-    std::vector<float> b0(max_chunk);
-    std::vector<float> b1(max_chunk);
-    stats::kernels::MomentStream mom(masked);
-    stats::kernels::ZScoreStream zs(static_cast<double>(member_count_),
-                                    kDegenerateSpreadRelTol, masked);
-    double worst = 0.0;
-    walk_member_chunks(
-        store, static_cast<std::uint32_t>(m), b0, b1,
-        [&](std::size_t c, std::span<const float> x) {
-          const std::size_t lo = offsets[c];
-          const std::size_t len = x.size();
-          const std::span<const std::uint8_t> mask_slice =
-              masked ? mask.subspan(lo, len) : mask;
-          mom.feed(x, mask_slice);
-          zs.feed(x, x, std::span<const double>(sum_).subspan(lo, len),
-                  std::span<const double>(sum_sq_).subspan(lo, len), mask_slice);
-          // E_nmax fold (eq. 10): pointwise leave-one-out distance, max
-          // over valid points — order-invariant, so the chunk partition
-          // cannot change it.
-          for (std::size_t i = 0; i < len; ++i) {
-            if (masked && mask_[lo + i] == 0) continue;
-            const float hi_v = (argmax_[lo + i] == m) ? max2_[lo + i] : max1_[lo + i];
-            const float lo_v = (argmin_[lo + i] == m) ? min2_[lo + i] : min1_[lo + i];
-            const double d =
-                std::max(static_cast<double>(hi_v) - static_cast<double>(x[i]),
-                         static_cast<double>(x[i]) - static_cast<double>(lo_v));
-            worst = std::max(worst, d);
-          }
-        });
-    const stats::kernels::MomentAccum a = mom.finish();
-    member_summary_[m] = stats::summary_from(a);
-    ranges_[m] = a.max - a.min;
-    global_means_[m] = a.mean;
-    rmsz_dist_[m] = rmsz_from_accum(zs.finish());
-    enmax_dist_[m] = ranges_[m] > 0.0 ? worst / ranges_[m] : worst;
-  });
-  budget.release(pass2_bytes);
+  [[nodiscard]] std::span<const float> chunk(std::uint32_t m, std::size_t c,
+                                             std::span<float> buf) const override {
+    const std::span<float> out = buf.first(store_.chunk_elems(c));
+    store_.read_chunk(m, c, out);
+    return out;
+  }
+  void walk(std::uint32_t m, std::span<float> buf0, std::span<float> buf1,
+            const Visit& visit) const override {
+    walk_member_chunks(store_, m, buf0, buf1, [&](std::size_t c, std::span<const float> x) {
+      visit(store_.chunk_offsets()[c], x);
+    });
+  }
 
-  const auto [lo_it, hi_it] = std::minmax_element(rmsz_dist_.begin(), rmsz_dist_.end());
-  rmsz_min_ = *lo_it;
-  rmsz_max_ = *hi_it;
-}
+ private:
+  const ncio::ChunkStoreReader& store_;
+};
 
-double StreamingStats::enmax_range() const {
-  const auto [lo, hi] = std::minmax_element(enmax_dist_.begin(), enmax_dist_.end());
-  return *hi - *lo;
+}  // namespace
+
+SufficientStats build_spilled_stats(const ncio::ChunkStoreReader& store,
+                                    util::MemoryBudget& budget) {
+  trace::Span span("ooc.stats");
+  return SufficientStats::build(StoreChunks(store), &budget);
 }
 
 namespace {
@@ -312,7 +192,7 @@ void stage_variable_at(const climate::EnsembleGenerator& ensemble,
                                 static_cast<std::uint32_t>(members), offsets);
 
   const std::uint64_t stage_bytes =
-      static_cast<std::uint64_t>(buffer_lanes()) * layout.max_chunk * sizeof(float);
+      static_cast<std::uint64_t>(parallel_lanes()) * layout.max_chunk * sizeof(float);
   budget.charge("ooc.stage_buffers", stage_bytes);
   {
     // The synthesis span is the reuse acceptance signal: a warm run that
@@ -405,17 +285,13 @@ namespace {
 /// container for the same partition; reconstructions skip the stream.
 class SpilledMembers final : public MemberSource {
  public:
-  SpilledMembers(const ncio::ChunkStoreReader& store, const StreamingStats& stats)
+  SpilledMembers(const ncio::ChunkStoreReader& store, const SufficientStats& stats)
       : MemberSource(stats),
         store_(store),
-        stats_(stats),
         max_chunk_(max_chunk_elems(store.chunk_offsets())),
         buffers_(3 * max_chunk_) {}
 
   [[nodiscard]] std::string variable() const override { return store_.variable(); }
-  [[nodiscard]] stats::Summary member_summary(std::size_t m) const override {
-    return stats_.member_summary(m);
-  }
   double round_trip(const comp::Codec& codec, std::size_t m, comp::PlanStore* plans,
                     const ChunkVisitor& visit) const override {
     return encode_walk(codec, m, plans, &visit);
@@ -443,7 +319,7 @@ class SpilledMembers final : public MemberSource {
   /// reconstruction slab) for every chunk of member m in store order.
   template <typename Process>
   void walk(const comp::Codec& codec, std::size_t m, Process&& process) const {
-    CESM_REQUIRE(m < member_count());
+    CESM_REQUIRE(m < stats().member_count());
     const auto* chunked = dynamic_cast<const comp::ChunkedCodec*>(&codec);
     CESM_REQUIRE(chunked != nullptr);
     const std::vector<std::size_t>& offsets = store_.chunk_offsets();
@@ -483,7 +359,6 @@ class SpilledMembers final : public MemberSource {
   }
 
   const ncio::ChunkStoreReader& store_;
-  const StreamingStats& stats_;
   std::size_t max_chunk_;
   mutable BufferPool buffers_;  ///< two walk buffers + one reconstruction
 };
@@ -505,11 +380,11 @@ struct ReusedSpillInvalidator {
 };
 
 /// Verify-phase buffer allowance: per concurrent round trip
-/// (buffer_lanes()), the two walk buffers, the reconstruction slab, and a
+/// (parallel_lanes()), the two walk buffers, the reconstruction slab, and a
 /// transient-encode allowance of one more chunk (codec streams of roughly
 /// chunk size).
 std::uint64_t verify_buffer_bytes(std::size_t max_chunk) {
-  return static_cast<std::uint64_t>(buffer_lanes()) * 4 * max_chunk * sizeof(float);
+  return static_cast<std::uint64_t>(parallel_lanes()) * 4 * max_chunk * sizeof(float);
 }
 
 }  // namespace
@@ -599,9 +474,9 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
   // re-trusting the bytes.
   const ReusedSpillInvalidator invalidator{path, reused};
 
-  // Phase 2: the EnsembleStats sufficient statistics in two read passes.
+  // Phase 2: the ensemble statistics in two read passes.
   const Clock::time_point t_stats = Clock::now();
-  const StreamingStats stats(store, budget);
+  const SufficientStats stats = build_spilled_stats(store, budget);
   const double stats_seconds = seconds_since(t_stats);
 
   // Phase 3: tuning + verdicts, chunk-at-a-time round-trips throughout.

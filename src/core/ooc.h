@@ -8,10 +8,11 @@
 //   1. stage_variable — synthesis writes every member chunk-by-chunk into
 //      a CNK1 spill store (ncio/chunkstore.h), members in parallel on the
 //      work-stealing scheduler;
-//   2. StreamingStats — two read passes over the store build the same
-//      sufficient statistics EnsembleStats holds (per-point sum/sum², the
-//      leave-one-out extremes, the RMSZ and E_nmax distributions), minus
-//      the resident member fields;
+//   2. build_spilled_stats — the one statistics build (core/rmsz.h,
+//      SufficientStats::build) reads the store in two passes: pass 1 one
+//      chunk of every member at a time, pass 2 each member double-buffered.
+//      The result is the SufficientStats EnsembleStats holds, minus the
+//      resident member fields;
 //   3. run_variable_streaming — the verification pipeline run_variable
 //      uses (core/suite.h, verify_variable), fed by a spilled
 //      MemberSource (core/member_source.h): each member round-trips chunk
@@ -62,9 +63,9 @@
 #include <vector>
 
 #include "climate/ensemble.h"
+#include "core/rmsz.h"
 #include "core/suite.h"
 #include "ncio/chunkstore.h"
-#include "stats/descriptive.h"
 #include "util/memory.h"
 
 namespace cesm::core {
@@ -147,64 +148,19 @@ class SpillSession {
 /// BENCH_suite.json streaming-phase record.
 struct OocPhaseStats {
   double stage_seconds = 0.0;   ///< synthesis -> spill store
-  double stats_seconds = 0.0;   ///< StreamingStats two-pass build
+  double stats_seconds = 0.0;   ///< build_spilled_stats two-pass build
   double verify_seconds = 0.0;  ///< tuning + all variant verdicts
   std::uint64_t bytes_spilled = 0;        ///< CNK1 payload written
   std::uint64_t peak_logical_bytes = 0;   ///< MemoryBudget high-water mark
   std::uint64_t budget_cap_bytes = 0;     ///< the cap charged against (0 = none)
 };
 
-/// The EnsembleStats sufficient statistics, built from a chunk store in
-/// two bounded-memory read passes instead of from resident members.
-/// Accessors mirror EnsembleStats, so a MemberSource over either exposes
-/// identical statistics to the verification pipeline.
-class StreamingStats {
- public:
-  /// Builds from `store`. Pass 1 (parallel over chunks) derives the
-  /// shared validity mask and accumulates per-point sum/sum² and the
-  /// leave-one-out extremes, member-major per point. Pass 2 (parallel
-  /// over members) streams each member once more for its moments, RMSZ
-  /// and E_nmax. `budget` is charged for every resident array.
-  StreamingStats(const ncio::ChunkStoreReader& store, util::MemoryBudget& budget);
-
-  [[nodiscard]] std::size_t member_count() const { return member_count_; }
-  [[nodiscard]] std::size_t point_count() const { return valid_points_; }
-  [[nodiscard]] std::span<const std::uint8_t> mask() const { return mask_; }
-  [[nodiscard]] std::span<const double> sum() const { return sum_; }
-  [[nodiscard]] std::span<const double> sum_sq() const { return sum_sq_; }
-
-  [[nodiscard]] double rmsz(std::size_t m) const { return rmsz_dist_[m]; }
-  [[nodiscard]] const std::vector<double>& rmsz_distribution() const { return rmsz_dist_; }
-  [[nodiscard]] std::pair<double, double> rmsz_range() const {
-    return {rmsz_min_, rmsz_max_};
-  }
-  [[nodiscard]] double enmax(std::size_t m) const { return enmax_dist_[m]; }
-  [[nodiscard]] const std::vector<double>& enmax_distribution() const { return enmax_dist_; }
-  [[nodiscard]] double enmax_range() const;
-
-  [[nodiscard]] double member_range(std::size_t m) const { return ranges_[m]; }
-  [[nodiscard]] double global_mean(std::size_t m) const { return global_means_[m]; }
-  [[nodiscard]] const std::vector<double>& global_means() const { return global_means_; }
-
-  /// The §4.1 summary of member m over valid points — bit-identical to
-  /// summarize(member.data, mask) on the in-core leg.
-  [[nodiscard]] const stats::Summary& member_summary(std::size_t m) const {
-    return member_summary_[m];
-  }
-
- private:
-  std::size_t member_count_ = 0;
-  std::size_t n_ = 0;
-  std::vector<std::uint8_t> mask_;  // normalized: empty when all valid
-  std::size_t valid_points_ = 0;
-  std::vector<double> sum_, sum_sq_;
-  std::vector<float> max1_, max2_, min1_, min2_;
-  std::vector<std::uint32_t> argmax_, argmin_;
-  std::vector<stats::Summary> member_summary_;
-  std::vector<double> rmsz_dist_, enmax_dist_, ranges_, global_means_;
-  double rmsz_min_ = 0.0;
-  double rmsz_max_ = 0.0;
-};
+/// The ensemble statistics of a staged variable: SufficientStats::build
+/// (core/rmsz.h) fed from `store`, the same build EnsembleStats runs over
+/// resident members, minus the members. `budget` is charged for every
+/// resident array and read buffer.
+SufficientStats build_spilled_stats(const ncio::ChunkStoreReader& store,
+                                    util::MemoryBudget& budget);
 
 /// Synthesize one variable's full ensemble into a CNK1 store at `path`
 /// (members in parallel, chunk-granular writes; never more than one chunk
@@ -223,7 +179,7 @@ std::string stage_variable(const climate::EnsembleGenerator& ensemble,
                            std::size_t chunk_elems, util::MemoryBudget& budget);
 
 /// run_variable over members staged in a spill store: stage, build the
-/// StreamingStats, then run the shared variable body (verify_variable) on
+/// statistics from the store, then run the shared variable body (verify_variable) on
 /// the spilled source — a bit-identical VariableResult to an in-core run
 /// with SuiteConfig::chunk_elems == config.chunk_elems, under a working
 /// set of chunks instead of members. `phases`, when non-null,

@@ -59,24 +59,24 @@ void fold_member_flags(VariableVerdict& verdict) {
 }
 
 /// The mask slice of chunk [lo, lo + len), empty when every point is valid.
-std::span<const std::uint8_t> mask_slice(const MemberSource& source, std::size_t lo,
+std::span<const std::uint8_t> mask_slice(const SufficientStats& ens, std::size_t lo,
                                          std::size_t len) {
-  return source.mask().empty() ? source.mask() : source.mask().subspan(lo, len);
+  return ens.mask().empty() ? ens.mask() : ens.mask().subspan(lo, len);
 }
 
 /// Eq. (6) z-scores of reconstructed chunks against the sub-ensemble that
 /// excludes the original member.
-stats::kernels::ZScoreStream zscore_stream(const MemberSource& source) {
-  return stats::kernels::ZScoreStream(static_cast<double>(source.member_count()),
-                                      kDegenerateSpreadRelTol, !source.mask().empty());
+stats::kernels::ZScoreStream zscore_stream(const SufficientStats& ens) {
+  return stats::kernels::ZScoreStream(static_cast<double>(ens.member_count()),
+                                      kDegenerateSpreadRelTol, !ens.mask().empty());
 }
 
-void feed_zscores(stats::kernels::ZScoreStream& zs, const MemberSource& source,
+void feed_zscores(stats::kernels::ZScoreStream& zs, const SufficientStats& ens,
                   std::size_t lo, std::span<const float> original,
                   std::span<const float> reconstructed) {
   const std::size_t len = original.size();
-  zs.feed(reconstructed, original, source.sum().subspan(lo, len),
-          source.sum_sq().subspan(lo, len), mask_slice(source, lo, len));
+  zs.feed(reconstructed, original, ens.sum().subspan(lo, len), ens.sum_sq().subspan(lo, len),
+          mask_slice(ens, lo, len));
 }
 
 }  // namespace
@@ -92,39 +92,40 @@ PvtVerifier::PvtVerifier(const MemberSource& source, PvtThresholds thresholds)
 MemberEvaluation PvtVerifier::evaluate_member(const comp::Codec& codec,
                                               std::size_t member) const {
   const MemberSource& src = *source_;
-  CESM_REQUIRE(member < src.member_count());
+  const SufficientStats& ens = src.stats();
+  CESM_REQUIRE(member < ens.member_count());
   // Tests 1–3 from one round trip: the §4.2 error norms, the Pearson
   // co-moments and the reconstruction's z-scores, fed chunk by chunk.
-  const bool masked = !src.mask().empty();
+  const bool masked = !ens.mask().empty();
   stats::kernels::ErrorNormStream err(masked);
   stats::kernels::CoMomentStream co(masked);
-  stats::kernels::ZScoreStream zs = zscore_stream(src);
+  stats::kernels::ZScoreStream zs = zscore_stream(ens);
   const double cr = src.round_trip(
       codec, member, plans_,
       [&](std::size_t lo, std::span<const float> x, std::span<const float> y) {
-        const std::span<const std::uint8_t> mask = mask_slice(src, lo, x.size());
+        const std::span<const std::uint8_t> mask = mask_slice(ens, lo, x.size());
         err.feed(x, y, mask);
         co.feed(x, y, mask);
-        feed_zscores(zs, src, lo, x, y);
+        feed_zscores(zs, ens, lo, x, y);
       });
   trace::counter_add("pvt.member_roundtrips", 1);
 
-  const stats::Summary s = src.member_summary(member);
+  const stats::Summary& s = ens.member_summary(member);
   const ErrorMetrics metrics =
       error_metrics_from(err.finish(), s.range(), std::max(std::fabs(s.min), std::fabs(s.max)),
                          stats::pearson_from_accum(co.finish()));
-  return finish_member_evaluation(member, cr, metrics, src.rmsz(member),
-                                  rmsz_from_accum(zs.finish()), src.rmsz_range(),
-                                  src.enmax_range(), thresholds_);
+  return finish_member_evaluation(member, cr, metrics, ens.rmsz(member),
+                                  rmsz_from_accum(zs.finish()), ens.rmsz_range(),
+                                  ens.enmax_range(), thresholds_);
 }
 
 double PvtVerifier::reconstructed_rmsz_of(const comp::Codec& codec,
                                           std::size_t member) const {
-  stats::kernels::ZScoreStream zs = zscore_stream(*source_);
+  stats::kernels::ZScoreStream zs = zscore_stream(source_->stats());
   source_->reconstruct(
       codec, member, plans_,
       [&](std::size_t lo, std::span<const float> x, std::span<const float> y) {
-        feed_zscores(zs, *source_, lo, x, y);
+        feed_zscores(zs, source_->stats(), lo, x, y);
       });
   trace::counter_add("pvt.member_reconstructs", 1);
   return rmsz_from_accum(zs.finish());
@@ -134,7 +135,7 @@ void PvtVerifier::reconstructed_rmsz_into(const comp::Codec& codec,
                                           std::span<double> scores,
                                           std::span<const MemberEvaluation> known) const {
   trace::Span span("pvt.bias_sweep");
-  const std::size_t m_count = source_->member_count();
+  const std::size_t m_count = source_->stats().member_count();
   CESM_REQUIRE(scores.size() == m_count);
 
   // Seed the scores the test-member evaluations already computed: the
@@ -165,7 +166,7 @@ void PvtVerifier::reconstructed_rmsz_into(const comp::Codec& codec,
 }
 
 std::vector<double> PvtVerifier::reconstructed_rmsz(const comp::Codec& codec) const {
-  std::vector<double> scores(source_->member_count());
+  std::vector<double> scores(source_->stats().member_count());
   reconstructed_rmsz_into(codec, scores, {});
   return scores;
 }
@@ -192,9 +193,9 @@ VariableVerdict PvtVerifier::verify(const comp::Codec& codec,
     // Arena-backed score buffer: warmed on the first verify, reused
     // allocation-free for every subsequent codec variant.
     const std::span<double> recon_scores =
-        scratch_.get<double>(0, source_->member_count());
+        scratch_.get<double>(0, source_->stats().member_count());
     reconstructed_rmsz_into(codec, recon_scores, verdict.members);
-    verdict.bias = bias_test(source_->rmsz_distribution(), recon_scores,
+    verdict.bias = bias_test(source_->stats().rmsz_distribution(), recon_scores,
                              thresholds_.bias_confidence);
     verdict.bias_pass = verdict.bias.pass;
     verdict.bias_evaluated = true;

@@ -6,6 +6,7 @@
 
 #include "stats/kernels.h"
 #include "util/error.h"
+#include "util/memory.h"
 #include "util/scheduler.h"
 #include "util/trace.h"
 
@@ -13,151 +14,214 @@ namespace cesm::core {
 
 namespace {
 
-/// A member's validity pattern with "no invalid points" normalized to
-/// the empty mask, so a field whose fill value never occurs compares
-/// equal to a field with no fill value at all.
-std::vector<std::uint8_t> effective_mask(const climate::Field& f) {
-  std::vector<std::uint8_t> mask = f.valid_mask();
-  const bool any_invalid =
-      std::find(mask.begin(), mask.end(), std::uint8_t{0}) != mask.end();
-  if (!any_invalid) mask.clear();
-  return mask;
+/// Resident members as the build reads them: pass 1 takes views of fixed
+/// point slices, pass 2 the whole field as one chunk. No values are copied.
+class ResidentChunks final : public MemberChunks {
+ public:
+  explicit ResidentChunks(const std::vector<climate::Field>& members) : members_(members) {
+    const std::size_t n = members_[0].size();
+    for (const climate::Field& f : members_) {
+      CESM_REQUIRE(f.size() == n);
+      // One fill value for the ensemble: the first one declared. A member
+      // declaring none is checked against it like any other.
+      if (!fill_) fill_ = f.fill;
+      CESM_REQUIRE(!f.fill || *f.fill == *fill_);
+    }
+    // The slice width is a fixed multiple of the kernel block (never
+    // derived from the worker count), so the decomposition is
+    // reproducible and the per-block mask hoisting stays aligned.
+    constexpr std::size_t kPointGrain = 16 * stats::kernels::kBlock;
+    for (std::size_t lo = 0; lo < n; lo += kPointGrain) offsets_.push_back(lo);
+    offsets_.push_back(n);
+  }
+
+  [[nodiscard]] std::size_t member_count() const override { return members_.size(); }
+  [[nodiscard]] std::span<const std::size_t> offsets() const override { return offsets_; }
+  [[nodiscard]] std::optional<float> fill() const override { return fill_; }
+  [[nodiscard]] std::size_t buffer_elems() const override { return 0; }
+
+  [[nodiscard]] std::span<const float> chunk(std::uint32_t m, std::size_t c,
+                                             std::span<float>) const override {
+    return std::span<const float>(members_[m].data)
+        .subspan(offsets_[c], offsets_[c + 1] - offsets_[c]);
+  }
+  void walk(std::uint32_t m, std::span<float>, std::span<float>,
+            const Visit& visit) const override {
+    visit(0, members_[m].data);
+  }
+
+ private:
+  const std::vector<climate::Field>& members_;
+  std::optional<float> fill_;
+  std::vector<std::size_t> offsets_;
+};
+
+/// Member 0 defines the validity of every point (0 where it holds the fill
+/// value); every later member must agree point by point, or sum/sum² would
+/// silently absorb fill values.
+void derive_or_check_mask(std::span<const float> x, float fill, bool first,
+                          std::span<std::uint8_t> mask) {
+  if (first) {
+    for (std::size_t i = 0; i < x.size(); ++i) mask[i] = x[i] == fill ? 0 : 1;
+    return;
+  }
+  bool mismatch = false;
+  for (std::size_t i = 0; i < x.size(); ++i) mismatch |= (x[i] == fill) != (mask[i] == 0);
+  CESM_REQUIRE(!mismatch);
+}
+
+SufficientStats build_resident(const std::vector<climate::Field>& members) {
+  trace::Span span("stats.build");
+  CESM_REQUIRE(members.size() >= 3);
+  return SufficientStats::build(ResidentChunks(members));
 }
 
 }  // namespace
 
-EnsembleStats::EnsembleStats(std::vector<climate::Field> members)
-    : members_(std::move(members)) {
-  CESM_REQUIRE(members_.size() >= 3);
-  const std::size_t n = members_[0].size();
-  for (const climate::Field& f : members_) {
-    CESM_REQUIRE(f.size() == n);
-  }
-  mask_ = effective_mask(members_[0]);
-  // The sufficient statistics below apply member 0's mask to every
-  // member; a member with a different fill pattern would silently
-  // pollute sum_/sum_sq_ with fill values, so reject it up front.
-  for (std::size_t m = 1; m < members_.size(); ++m) {
-    CESM_REQUIRE(effective_mask(members_[m]) == mask_);
-  }
-  build();
-}
-
-void EnsembleStats::build() {
-  trace::Span span("stats.build");
-  const std::size_t n = members_[0].size();
-  const std::size_t m_count = members_.size();
+SufficientStats SufficientStats::build(const MemberChunks& src, util::MemoryBudget* budget) {
+  const std::size_t m_count = src.member_count();
+  CESM_REQUIRE(m_count >= 3);
+  const std::span<const std::size_t> offsets = src.offsets();
+  const std::size_t chunks = offsets.size() - 1;
+  const std::size_t n = offsets.back();
+  const std::optional<float> fill = src.fill();
+  const std::size_t buf_elems = src.buffer_elems();
+  const std::uint64_t lane_bytes =
+      static_cast<std::uint64_t>(parallel_lanes()) * buf_elems * sizeof(float);
+  // Charges carry the out-of-core labels: a spill-fed build is the only
+  // one run against a budget.
+  const auto charge = [&](const char* label, std::uint64_t bytes) {
+    if (budget != nullptr) budget->charge(label, bytes);
+  };
+  const auto release = [&](std::uint64_t bytes) {
+    if (budget != nullptr) budget->release(bytes);
+  };
   constexpr float kInf = std::numeric_limits<float>::infinity();
 
-  sum_.assign(n, 0.0);
-  sum_sq_.assign(n, 0.0);
-  max1_.assign(n, -kInf);
-  max2_.assign(n, -kInf);
-  min1_.assign(n, kInf);
-  min2_.assign(n, kInf);
-  argmax_.assign(n, 0);
-  argmin_.assign(n, 0);
+  // Resident per-point arrays: sum + sum_sq (2 x 8) + the four extreme
+  // planes (4 x 4) + the two arg planes (2 x 4) = 40 bytes per point,
+  // plus the mask byte while it exists.
+  charge("ooc.point_stats", static_cast<std::uint64_t>(n) * (40 + (fill ? 1 : 0)));
+  SufficientStats s;
+  s.sum_.assign(n, 0.0);
+  s.sum_sq_.assign(n, 0.0);
+  s.max1_.assign(n, -kInf);
+  s.max2_.assign(n, -kInf);
+  s.min1_.assign(n, kInf);
+  s.min2_.assign(n, kInf);
+  s.argmax_.assign(n, 0);
+  s.argmin_.assign(n, 0);
+  if (fill) s.mask_.assign(n, 1);
 
-  valid_points_ = stats::kernels::count_valid(mask_, n);
-  CESM_REQUIRE(valid_points_ > 0);
-
-  // Sufficient statistics and leave-one-out extremes. The member loop must
-  // run in member order (update_extremes resolves argmax ties by first
-  // arrival, and the sum/sum_sq float adds are order-sensitive), so the
-  // parallel axis is POINTS: each task owns a disjoint point slice and
-  // walks the members in order within it. Per point the arithmetic and its
-  // order are exactly the serial loop's, so results are bit-identical at
-  // every thread count. The slice width is a fixed multiple of the kernel
-  // block (never derived from the worker count) to keep the per-block
-  // mask hoisting aligned and the decomposition reproducible.
-  constexpr std::size_t kPointGrain = 16 * stats::kernels::kBlock;
-  const std::size_t point_chunks = (n + kPointGrain - 1) / kPointGrain;
-  const std::span<const std::uint8_t> mask(mask_);
-  parallel_for(0, point_chunks, [&](std::size_t c) {
-    const std::size_t lo = c * kPointGrain;
-    const std::size_t len = std::min(kPointGrain, n - lo);
-    const std::span<const std::uint8_t> mask_slice =
-        mask.empty() ? mask : mask.subspan(lo, len);
-    for (std::size_t m = 0; m < m_count; ++m) {
-      const std::span<const float> x(members_[m].data);
-      stats::kernels::accumulate_sum_sq(x.subspan(lo, len), mask_slice,
-                                        std::span<double>(sum_).subspan(lo, len),
-                                        std::span<double>(sum_sq_).subspan(lo, len));
-      stats::kernels::update_extremes(
-          x.subspan(lo, len), mask_slice, static_cast<std::uint32_t>(m),
-          std::span<float>(max1_).subspan(lo, len),
-          std::span<float>(max2_).subspan(lo, len),
-          std::span<std::uint32_t>(argmax_).subspan(lo, len),
-          std::span<float>(min1_).subspan(lo, len),
-          std::span<float>(min2_).subspan(lo, len),
-          std::span<std::uint32_t>(argmin_).subspan(lo, len));
+  // Pass 1 — parallel over chunks, members in order within each. Per point
+  // the arithmetic and its order are exactly a serial member loop's, so
+  // results are bit-identical at every thread count and chunk partition.
+  charge("ooc.pass1_buffers", lane_bytes);
+  parallel_for(0, chunks, [&](std::size_t c) {
+    const std::size_t lo = offsets[c];
+    const std::size_t len = offsets[c + 1] - lo;
+    std::vector<float> buf(buf_elems);
+    const std::span<std::uint8_t> mask =
+        fill ? std::span<std::uint8_t>(s.mask_).subspan(lo, len) : std::span<std::uint8_t>{};
+    for (std::uint32_t m = 0; m < m_count; ++m) {
+      const std::span<const float> x = src.chunk(m, c, buf);
+      if (fill) derive_or_check_mask(x, *fill, m == 0, mask);
+      stats::kernels::accumulate_sum_sq(x, mask, std::span<double>(s.sum_).subspan(lo, len),
+                                        std::span<double>(s.sum_sq_).subspan(lo, len));
+      stats::kernels::update_extremes(x, mask, m, std::span<float>(s.max1_).subspan(lo, len),
+                                      std::span<float>(s.max2_).subspan(lo, len),
+                                      std::span<std::uint32_t>(s.argmax_).subspan(lo, len),
+                                      std::span<float>(s.min1_).subspan(lo, len),
+                                      std::span<float>(s.min2_).subspan(lo, len),
+                                      std::span<std::uint32_t>(s.argmin_).subspan(lo, len));
     }
   });
+  release(lane_bytes);
 
-  // Per-member range and global mean over valid points: one fused
-  // min/max/mean kernel pass per member, members in parallel (each writes
-  // its own slot).
-  ranges_.resize(m_count);
-  global_means_.resize(m_count);
+  // A fill value that never occurs is the same as no fill at all, so
+  // downstream kernels take the dense path.
+  s.valid_points_ = stats::kernels::count_valid(s.mask_, n);
+  if (fill && s.valid_points_ == n) {
+    s.mask_.clear();
+    s.mask_.shrink_to_fit();
+    release(n);
+  }
+  CESM_REQUIRE(s.valid_points_ > 0);
+
+  // Pass 2 — parallel over members: one walk feeds the block-realigning
+  // moment and z-score streams (bit-equal to the one-shot kernels on the
+  // whole array) and folds the E_nmax distance.
+  s.summaries_.resize(m_count);
+  s.rmsz_dist_.resize(m_count);
+  s.enmax_dist_.resize(m_count);
+  charge("ooc.member_stats",
+         static_cast<std::uint64_t>(m_count) * (sizeof(stats::Summary) + 4 * sizeof(double)));
+  charge("ooc.pass2_buffers", 2 * lane_bytes);
+  const bool masked = !s.mask_.empty();
   parallel_for(0, m_count, [&](std::size_t m) {
-    const stats::kernels::MomentAccum a =
-        stats::kernels::moments(std::span<const float>(members_[m].data), mask_);
-    ranges_[m] = a.max - a.min;
-    global_means_[m] = a.mean;
+    std::vector<float> buf0(buf_elems);
+    std::vector<float> buf1(buf_elems);
+    stats::kernels::MomentStream mom(masked);
+    stats::kernels::ZScoreStream zs(static_cast<double>(m_count), kDegenerateSpreadRelTol,
+                                    masked);
+    double worst = 0.0;
+    src.walk(static_cast<std::uint32_t>(m), buf0, buf1,
+             [&](std::size_t lo, std::span<const float> x) {
+               const std::size_t len = x.size();
+               const std::span<const std::uint8_t> mask =
+                   masked ? std::span<const std::uint8_t>(s.mask_).subspan(lo, len)
+                          : std::span<const std::uint8_t>{};
+               mom.feed(x, mask);
+               zs.feed(x, x, std::span<const double>(s.sum_).subspan(lo, len),
+                       std::span<const double>(s.sum_sq_).subspan(lo, len), mask);
+               worst = std::max(worst, s.max_distance(static_cast<std::uint32_t>(m), lo, x));
+             });
+    const stats::kernels::MomentAccum a = mom.finish();
+    s.summaries_[m] = stats::summary_from(a);
+    const double range = a.max - a.min;
+    s.rmsz_dist_[m] = rmsz_from_accum(zs.finish());
+    s.enmax_dist_[m] = range > 0.0 ? worst / range : worst;
   });
+  release(2 * lane_bytes);
 
-  // RMSZ distribution (original members), one independent slot per member.
-  rmsz_dist_.resize(m_count);
-  parallel_for(0, m_count, [&](std::size_t m) {
-    rmsz_dist_[m] = rmsz_of(m, members_[m].data);
-  });
-
-  // E_nmax distribution (eq. 10): member m's largest pointwise distance to
-  // any other member, normalized by member m's own range. Mask hoisted per
-  // block; the leave-one-out select is branch-free. Members run in
-  // parallel and each member's point scan is a nested parallel_reduce —
-  // max is order-independent over finite values, and the chunk grain is a
-  // kBlock multiple so the dense fast path stays aligned.
-  enmax_dist_.resize(m_count);
-  parallel_for(0, m_count, [&](std::size_t m) {
-    const std::vector<float>& x = members_[m].data;
-    const auto chunk_worst = [&](std::size_t lo, std::size_t hi, double acc) {
-      for (std::size_t b = lo; b < hi; b += stats::kernels::kBlock) {
-        const std::size_t len = std::min(stats::kernels::kBlock, hi - b);
-        const bool dense =
-            mask.empty() || stats::kernels::all_valid(mask.subspan(b, len));
-        for (std::size_t i = b; i < b + len; ++i) {
-          if (!dense && !mask_[i]) continue;
-          const float hi_v = (argmax_[i] == m) ? max2_[i] : max1_[i];
-          const float lo_v = (argmin_[i] == m) ? min2_[i] : min1_[i];
-          const double d =
-              std::max(static_cast<double>(hi_v) - static_cast<double>(x[i]),
-                       static_cast<double>(x[i]) - static_cast<double>(lo_v));
-          acc = std::max(acc, d);
-        }
-      }
-      return acc;
-    };
-    const double worst =
-        parallel_reduce(0, n, 0.0, chunk_worst,
-                        [](double a, double b) { return std::max(a, b); },
-                        kPointGrain);
-    enmax_dist_[m] = ranges_[m] > 0.0 ? worst / ranges_[m] : worst;
-  });
-
-  finalize_rmsz_range();
+  s.finalize_ranges();
+  return s;
 }
 
-void EnsembleStats::finalize_rmsz_range() {
-  const auto [lo, hi] = std::minmax_element(rmsz_dist_.begin(), rmsz_dist_.end());
-  rmsz_min_ = *lo;
-  rmsz_max_ = *hi;
+double SufficientStats::max_distance(std::uint32_t m, std::size_t lo,
+                                     std::span<const float> x) const {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const std::size_t p = lo + i;
+    if (!mask_.empty() && mask_[p] == 0) continue;
+    const double v = x[i];
+    const double hi = argmax_[p] == m ? max2_[p] : max1_[p];
+    const double lo_v = argmin_[p] == m ? min2_[p] : min1_[p];
+    worst = std::max(worst, std::max(hi - v, v - lo_v));
+  }
+  return worst;
 }
+
+void SufficientStats::finalize_ranges() {
+  const auto [rlo, rhi] = std::minmax_element(rmsz_dist_.begin(), rmsz_dist_.end());
+  rmsz_min_ = *rlo;
+  rmsz_max_ = *rhi;
+  const auto [elo, ehi] = std::minmax_element(enmax_dist_.begin(), enmax_dist_.end());
+  enmax_range_ = *ehi - *elo;
+}
+
+std::vector<double> SufficientStats::global_means() const {
+  std::vector<double> means(summaries_.size());
+  for (std::size_t m = 0; m < means.size(); ++m) means[m] = summaries_[m].mean;
+  return means;
+}
+
+EnsembleStats::EnsembleStats(std::vector<climate::Field> members)
+    : EnsembleStats(build_resident(members), std::move(members)) {}
 
 double EnsembleStats::rmsz_of(std::size_t m, std::span<const float> data) const {
   CESM_REQUIRE(m < members_.size());
-  const std::size_t n = members_[0].size();
-  CESM_REQUIRE(data.size() == n);
+  CESM_REQUIRE(data.size() == members_[0].size());
 
   // Sub-ensemble {E \ m} statistics via leave-one-out update of the
   // per-point sufficient statistics. The value removed is the *original*
@@ -166,14 +230,9 @@ double EnsembleStats::rmsz_of(std::size_t m, std::span<const float> data) const 
   // the mean (e.g. a saturated cloud-fraction point identical across
   // members) — are skipped; see kDegenerateSpreadRelTol.
   const stats::kernels::ZScoreAccum acc = stats::kernels::zscore_sums(
-      data, members_[m].data, sum_, sum_sq_, mask_,
+      data, members_[m].data, sum(), sum_sq(), mask(),
       static_cast<double>(members_.size()), kDegenerateSpreadRelTol);
   return rmsz_from_accum(acc);
-}
-
-double EnsembleStats::enmax_range() const {
-  const auto [lo, hi] = std::minmax_element(enmax_dist_.begin(), enmax_dist_.end());
-  return *hi - *lo;
 }
 
 namespace {
@@ -181,8 +240,9 @@ namespace {
 // Layout version of the EnsembleStats snapshot itself (independent of the
 // disk-cache container version): bump on any change to the field set or
 // their order below, so stale snapshots deserialize as FormatError and the
-// cache regenerates them instead of misreading bytes.
-constexpr std::uint32_t kStatsFormatVersion = 1;
+// cache regenerates them instead of misreading bytes. Bump kKeySchemaVersion
+// in ensemble_cache.cpp alongside it.
+constexpr std::uint32_t kStatsFormatVersion = 2;
 
 template <typename T>
 void write_array(ByteWriter& w, const std::vector<T>& v) {
@@ -218,7 +278,86 @@ std::vector<T> read_array(ByteReader& r) {
   return v;
 }
 
+/// Bytes one serialized stats::Summary occupies.
+constexpr std::size_t kSummaryBytes = 4 * sizeof(double) + sizeof(std::uint64_t);
+
 }  // namespace
+
+void SufficientStats::serialize(ByteWriter& w) const {
+  write_array(w, mask_);
+  w.u64(valid_points_);
+  write_array(w, sum_);
+  write_array(w, sum_sq_);
+  write_array(w, max1_);
+  write_array(w, max2_);
+  write_array(w, min1_);
+  write_array(w, min2_);
+  write_array(w, argmax_);
+  write_array(w, argmin_);
+  write_array(w, rmsz_dist_);
+  write_array(w, enmax_dist_);
+  w.u64(summaries_.size());
+  for (const stats::Summary& sm : summaries_) {
+    w.f64(sm.min);
+    w.f64(sm.max);
+    w.f64(sm.mean);
+    w.f64(sm.stddev);
+    w.u64(sm.count);
+  }
+}
+
+SufficientStats SufficientStats::deserialize(ByteReader& r, std::size_t points,
+                                             std::size_t members) {
+  SufficientStats s;
+  s.mask_ = read_array<std::uint8_t>(r);
+  if (!s.mask_.empty() && s.mask_.size() != points) {
+    throw FormatError("EnsembleStats mask size mismatch");
+  }
+  s.valid_points_ = static_cast<std::size_t>(r.u64());
+  s.sum_ = read_array<double>(r);
+  s.sum_sq_ = read_array<double>(r);
+  s.max1_ = read_array<float>(r);
+  s.max2_ = read_array<float>(r);
+  s.min1_ = read_array<float>(r);
+  s.min2_ = read_array<float>(r);
+  s.argmax_ = read_array<std::uint32_t>(r);
+  s.argmin_ = read_array<std::uint32_t>(r);
+  for (std::size_t len : {s.sum_.size(), s.sum_sq_.size(), s.max1_.size(),
+                          s.max2_.size(), s.min1_.size(), s.min2_.size(),
+                          s.argmax_.size(), s.argmin_.size()}) {
+    if (len != points) throw FormatError("EnsembleStats point-array size mismatch");
+  }
+  s.rmsz_dist_ = read_array<double>(r);
+  s.enmax_dist_ = read_array<double>(r);
+  const std::uint64_t summaries = r.u64();
+  if (s.rmsz_dist_.size() != members || s.enmax_dist_.size() != members ||
+      summaries != members || members > r.remaining() / kSummaryBytes) {
+    throw FormatError("EnsembleStats member-array size mismatch");
+  }
+  s.summaries_.resize(members);
+  for (stats::Summary& sm : s.summaries_) {
+    sm.min = r.f64();
+    sm.max = r.f64();
+    sm.mean = r.f64();
+    sm.stddev = r.f64();
+    sm.count = static_cast<std::size_t>(r.u64());
+  }
+  if (s.valid_points_ == 0 || s.valid_points_ > points) {
+    throw FormatError("EnsembleStats valid point count implausible");
+  }
+  s.finalize_ranges();
+  return s;
+}
+
+std::size_t SufficientStats::memory_bytes() const {
+  std::size_t bytes = mask_.size();
+  bytes += (sum_.size() + sum_sq_.size()) * sizeof(double);
+  bytes += (max1_.size() + max2_.size() + min1_.size() + min2_.size()) * sizeof(float);
+  bytes += (argmax_.size() + argmin_.size()) * sizeof(std::uint32_t);
+  bytes += summaries_.size() * sizeof(stats::Summary);
+  bytes += (rmsz_dist_.size() + enmax_dist_.size()) * sizeof(double);
+  return bytes;
+}
 
 void EnsembleStats::serialize(ByteWriter& w) const {
   w.u32(kStatsFormatVersion);
@@ -234,21 +373,7 @@ void EnsembleStats::serialize(ByteWriter& w) const {
 
   w.u64(members_.size());
   for (const climate::Field& f : members_) write_array(w, f.data);
-
-  write_array(w, mask_);
-  w.u64(valid_points_);
-  write_array(w, sum_);
-  write_array(w, sum_sq_);
-  write_array(w, max1_);
-  write_array(w, max2_);
-  write_array(w, min1_);
-  write_array(w, min2_);
-  write_array(w, argmax_);
-  write_array(w, argmin_);
-  write_array(w, rmsz_dist_);
-  write_array(w, enmax_dist_);
-  write_array(w, ranges_);
-  write_array(w, global_means_);
+  SufficientStats::serialize(w);
 }
 
 EnsembleStats EnsembleStats::deserialize(ByteReader& r) {
@@ -256,13 +381,23 @@ EnsembleStats EnsembleStats::deserialize(ByteReader& r) {
     throw FormatError("EnsembleStats snapshot version mismatch");
   }
 
-  EnsembleStats s;
   const std::string name = r.str();
   comp::Shape shape;
   const std::uint64_t rank = r.u64();
-  if (rank > 8) throw FormatError("EnsembleStats snapshot rank implausible");
+  if (rank == 0 || rank > 8) throw FormatError("EnsembleStats snapshot rank implausible");
+  // Same rule as wire::read_header and the CNK1 reader: every dimension
+  // and the running product stay within kMaxDecodeElements, so a zero or
+  // wrapping dimension cannot build fields whose dims disagree with their
+  // data.
+  std::uint64_t count = 1;
   for (std::uint64_t i = 0; i < rank; ++i) {
-    shape.dims.push_back(static_cast<std::size_t>(r.u64()));
+    const std::uint64_t dim = r.u64();
+    if (dim == 0 || dim > comp::wire::kMaxDecodeElements ||
+        count > comp::wire::kMaxDecodeElements / dim) {
+      throw FormatError("EnsembleStats snapshot dimension implausible");
+    }
+    count *= dim;
+    shape.dims.push_back(static_cast<std::size_t>(dim));
   }
   std::optional<float> fill;
   if (r.u8() != 0) fill = r.f32();
@@ -272,58 +407,21 @@ EnsembleStats EnsembleStats::deserialize(ByteReader& r) {
     throw FormatError("EnsembleStats snapshot member count implausible");
   }
   const std::size_t n = shape.count();
-  s.members_.reserve(static_cast<std::size_t>(m_count));
+  std::vector<climate::Field> members;
+  members.reserve(static_cast<std::size_t>(m_count));
   for (std::uint64_t m = 0; m < m_count; ++m) {
     climate::Field f{name, shape, read_array<float>(r), fill};
     if (f.data.size() != n) throw FormatError("EnsembleStats member size mismatch");
-    s.members_.push_back(std::move(f));
+    members.push_back(std::move(f));
   }
-
-  s.mask_ = read_array<std::uint8_t>(r);
-  if (!s.mask_.empty() && s.mask_.size() != n) {
-    throw FormatError("EnsembleStats mask size mismatch");
-  }
-  s.valid_points_ = static_cast<std::size_t>(r.u64());
-  s.sum_ = read_array<double>(r);
-  s.sum_sq_ = read_array<double>(r);
-  s.max1_ = read_array<float>(r);
-  s.max2_ = read_array<float>(r);
-  s.min1_ = read_array<float>(r);
-  s.min2_ = read_array<float>(r);
-  s.argmax_ = read_array<std::uint32_t>(r);
-  s.argmin_ = read_array<std::uint32_t>(r);
-  for (std::size_t len : {s.sum_.size(), s.sum_sq_.size(), s.max1_.size(),
-                          s.max2_.size(), s.min1_.size(), s.min2_.size(),
-                          s.argmax_.size(), s.argmin_.size()}) {
-    if (len != n) throw FormatError("EnsembleStats point-array size mismatch");
-  }
-  s.rmsz_dist_ = read_array<double>(r);
-  s.enmax_dist_ = read_array<double>(r);
-  s.ranges_ = read_array<double>(r);
-  s.global_means_ = read_array<double>(r);
-  for (std::size_t len : {s.rmsz_dist_.size(), s.enmax_dist_.size(),
-                          s.ranges_.size(), s.global_means_.size()}) {
-    if (len != m_count) throw FormatError("EnsembleStats member-array size mismatch");
-  }
-  if (s.valid_points_ == 0 || s.valid_points_ > n) {
-    throw FormatError("EnsembleStats valid point count implausible");
-  }
-
-  s.finalize_rmsz_range();
-  return s;
+  SufficientStats stats =
+      SufficientStats::deserialize(r, n, static_cast<std::size_t>(m_count));
+  return EnsembleStats(std::move(stats), std::move(members));
 }
 
 std::size_t EnsembleStats::memory_bytes() const {
   const std::size_t n = members_.empty() ? 0 : members_[0].size();
-  std::size_t bytes = members_.size() * n * sizeof(float);  // member data
-  bytes += mask_.size();
-  bytes += (sum_.size() + sum_sq_.size()) * sizeof(double);
-  bytes += (max1_.size() + max2_.size() + min1_.size() + min2_.size()) * sizeof(float);
-  bytes += (argmax_.size() + argmin_.size()) * sizeof(std::uint32_t);
-  bytes += (rmsz_dist_.size() + enmax_dist_.size() + ranges_.size() +
-            global_means_.size()) *
-           sizeof(double);
-  return bytes;
+  return members_.size() * n * sizeof(float) + SufficientStats::memory_bytes();
 }
 
 }  // namespace cesm::core

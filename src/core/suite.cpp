@@ -157,7 +157,7 @@ void verify_variable(const MemberSource& source, const climate::VariableSpec& sp
                      const SuiteConfig& config, comp::PlanStore& plans,
                      const comp::VariantPool* pool, VariableResult& result) {
   result.test_members = PvtVerifier::pick_members(
-      config.test_member_count, source.member_count(),
+      config.test_member_count, source.stats().member_count(),
       hash_combine(config.member_seed, spec.stream));
   const std::size_t probe = result.test_members.front();
 
@@ -167,7 +167,7 @@ void verify_variable(const MemberSource& source, const climate::VariableSpec& sp
   // are computed once per member and reused across the fpzip-32 probe,
   // the GRIB2 tuning ladder and every variant verify. Plans are pure
   // memoization — every stream stays byte-identical (prep.h).
-  result.character.summary = source.member_summary(probe);
+  result.character.summary = source.stats().member_summary(probe);
   result.character.lossless_cr = source.encoded_cr(
       *with_chunking(std::make_shared<comp::DeflateCodec>(), config.chunk_elems), probe,
       &plans);

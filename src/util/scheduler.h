@@ -250,6 +250,10 @@ void parallel_for(std::size_t begin, std::size_t end, const Body& body,
   group.wait();
 }
 
+/// Tasks of one parallel loop that can run at once: every worker plus the
+/// helping caller. Per-task buffer allowances are charged for this many.
+inline std::size_t parallel_lanes() { return Scheduler::global().thread_count() + 1; }
+
 /// Default chunk count for parallel_reduce when grain == 0.
 inline constexpr std::size_t kDefaultReduceChunks = 64;
 

@@ -10,8 +10,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "climate/ensemble.h"
 #include "core/export.h"
@@ -41,6 +43,24 @@ SuiteConfig fast_config() {
 
 std::string suite_csv(const climate::EnsembleGenerator& ens) {
   return suite_results_csv(run_suite(ens, fast_config(), {"U", "FSDSC"}));
+}
+
+/// `payload`, a serialized EnsembleStats snapshot, with its shape header
+/// replaced by `dims`.
+Bytes with_dims(const Bytes& payload, std::initializer_list<std::uint64_t> dims) {
+  ByteReader r(payload);
+  (void)r.u32();  // format version
+  (void)r.str();  // variable name
+  const std::size_t head = payload.size() - r.remaining();
+  const std::uint64_t rank = r.u64();
+  for (std::uint64_t i = 0; i < rank; ++i) (void)r.u64();
+  const std::size_t tail = payload.size() - r.remaining();
+  Bytes out(payload.begin(), payload.begin() + static_cast<std::ptrdiff_t>(head));
+  ByteWriter w(out);
+  w.u64(dims.size());
+  for (std::uint64_t d : dims) w.u64(d);
+  out.insert(out.end(), payload.begin() + static_cast<std::ptrdiff_t>(tail), payload.end());
+  return out;
 }
 
 util::CacheConfig memory_only() {
@@ -172,6 +192,51 @@ TEST_F(EnsembleCacheTest, TruncatedSnapshotThrowsFormatError) {
   payload.resize(payload.size() / 2);
   ByteReader r(payload);
   EXPECT_THROW((void)EnsembleStats::deserialize(r), FormatError);
+}
+
+TEST_F(EnsembleCacheTest, SnapshotShapeIsValidatedLikeStreamHeaders) {
+  const climate::EnsembleGenerator ens(tiny_spec());
+  EnsembleCache cache(disabled());
+  const auto built = cache.stats(ens, ens.variable("U"));
+  Bytes payload;
+  ByteWriter w(payload);
+  built->serialize(w);
+  const std::uint64_t n = built->member(0).size();
+  ASSERT_EQ(n % 2, 0u);
+  {
+    const Bytes same = with_dims(payload, {n});
+    ByteReader r(same);
+    EXPECT_NO_THROW((void)EnsembleStats::deserialize(r));
+  }
+  // A zero dimension, and dims whose product wraps Shape::count() back to
+  // the members' length: (2^63 + 1) * n == n (mod 2^64) for even n.
+  for (const Bytes& bad : {with_dims(payload, {0, n}),
+                           with_dims(payload, {(std::uint64_t{1} << 63) + 1, n})}) {
+    ByteReader r(bad);
+    EXPECT_THROW((void)EnsembleStats::deserialize(r), FormatError);
+  }
+}
+
+// The statistics build must not depend on the worker count: snapshot bytes
+// at 1 and 4 workers are identical, for a fill-free variable whose points
+// span several pass-1 slices and for a variable with fill points.
+TEST_F(EnsembleCacheTest, SnapshotBytesIdenticalAtOneAndFourWorkers) {
+  climate::EnsembleSpec spec = tiny_spec();
+  spec.grid = climate::GridSpec{24, 216, 16};
+  const climate::EnsembleGenerator ens(spec);
+  for (const char* name : {"U", "SST"}) {
+    SCOPED_TRACE(name);
+    const climate::VariableSpec& var = ens.variable(name);
+    std::vector<Bytes> snapshots;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      ScopedScheduler scoped(threads);
+      const EnsembleStats stats(ens.ensemble_fields(var));
+      EXPECT_EQ(stats.mask().empty(), !var.has_fill);
+      ByteWriter w(snapshots.emplace_back());
+      stats.serialize(w);
+    }
+    EXPECT_EQ(snapshots[0], snapshots[1]);
+  }
 }
 
 TEST_F(EnsembleCacheTest, DiskTierSurvivesMemoryReset) {

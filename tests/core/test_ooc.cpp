@@ -148,33 +148,42 @@ SuiteResults* OocTest::incore_ = nullptr;
 SuiteResults* OocTest::streaming_ = nullptr;
 
 TEST_F(OocTest, StreamingStatsMatchesEnsembleStatsBitwise) {
-  for (const char* name : {"U", "SST"}) {
-    SCOPED_TRACE(name);
-    const climate::VariableSpec& spec = ensemble_->variable(name);
-    const EnsembleStats stats(ensemble_->ensemble_fields(spec));
+  // The store-fed build against the resident-fed build, at the test
+  // partition (a 1-element tail chunk) and at the production chunk size.
+  for (const std::size_t chunk_elems : {std::size_t{1024}, std::size_t{1} << 16}) {
+    for (const char* name : {"U", "SST"}) {
+      SCOPED_TRACE(std::string(name) + " at chunk_elems " + std::to_string(chunk_elems));
+      const climate::VariableSpec& spec = ensemble_->variable(name);
+      const EnsembleStats stats(ensemble_->ensemble_fields(spec));
 
-    util::MemoryBudget budget;
-    const std::string path =
-        stage_variable(*ensemble_, spec, ::testing::TempDir(), 1024, budget);
-    const ncio::ChunkStoreReader store(path);
-    const StreamingStats streaming(store, budget);
+      util::MemoryBudget budget;
+      const std::string path =
+          stage_variable(*ensemble_, spec, ::testing::TempDir(), chunk_elems, budget);
+      const ncio::ChunkStoreReader store(path);
+      const SufficientStats streaming = build_spilled_stats(store, budget);
 
-    ASSERT_EQ(streaming.member_count(), stats.member_count());
-    EXPECT_EQ(streaming.point_count(), stats.point_count());
-    EXPECT_TRUE(std::equal(streaming.mask().begin(), streaming.mask().end(),
-                           stats.mask().begin(), stats.mask().end()));
-    EXPECT_EQ(streaming.rmsz_distribution(), stats.rmsz_distribution());
-    EXPECT_EQ(streaming.enmax_distribution(), stats.enmax_distribution());
-    EXPECT_EQ(streaming.rmsz_range(), stats.rmsz_range());
-    EXPECT_EQ(streaming.enmax_range(), stats.enmax_range());
-    EXPECT_EQ(streaming.global_means(), stats.global_means());
-    for (std::size_t m = 0; m < stats.member_count(); ++m) {
-      EXPECT_EQ(streaming.member_range(m), stats.member_range(m));
-      const stats::Summary expected = stats::summarize(
-          std::span<const float>(stats.member(m).data), stats.mask());
-      expect_summary_eq(streaming.member_summary(m), expected);
+      ASSERT_EQ(streaming.member_count(), stats.member_count());
+      EXPECT_EQ(streaming.point_count(), stats.point_count());
+      EXPECT_TRUE(std::equal(streaming.mask().begin(), streaming.mask().end(),
+                             stats.mask().begin(), stats.mask().end()));
+      EXPECT_TRUE(std::equal(streaming.sum().begin(), streaming.sum().end(),
+                             stats.sum().begin(), stats.sum().end()));
+      EXPECT_TRUE(std::equal(streaming.sum_sq().begin(), streaming.sum_sq().end(),
+                             stats.sum_sq().begin(), stats.sum_sq().end()));
+      EXPECT_EQ(streaming.rmsz_distribution(), stats.rmsz_distribution());
+      EXPECT_EQ(streaming.enmax_distribution(), stats.enmax_distribution());
+      EXPECT_EQ(streaming.rmsz_range(), stats.rmsz_range());
+      EXPECT_EQ(streaming.enmax_range(), stats.enmax_range());
+      EXPECT_EQ(streaming.global_means(), stats.global_means());
+      for (std::size_t m = 0; m < stats.member_count(); ++m) {
+        EXPECT_EQ(streaming.member_range(m), stats.member_range(m));
+        const stats::Summary expected = stats::summarize(
+            std::span<const float>(stats.member(m).data), stats.mask());
+        expect_summary_eq(streaming.member_summary(m), expected);
+        expect_summary_eq(stats.member_summary(m), expected);
+      }
+      std::filesystem::remove(path);
     }
-    std::filesystem::remove(path);
   }
 }
 
