@@ -1,5 +1,6 @@
 #include "climate/synthesis.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -163,6 +164,7 @@ void FieldSynthesizer::synthesize_range(std::span<const double> member_means,
   const std::vector<double> z = standardized(member_means);
 
   std::vector<double> coeff(kModes);
+  std::vector<double> row(std::min(ncol, elem_hi - elem_lo));
   for (std::size_t l = elem_lo / ncol; l * ncol < elem_hi; ++l) {
     const double lf = nlev > 1 ? static_cast<double>(l) / static_cast<double>(nlev - 1) : 0.5;
     // Level coefficients: climatological pattern + vertically rotated
@@ -187,14 +189,19 @@ void FieldSynthesizer::synthesize_range(std::span<const double> member_means,
     const std::size_t c_hi = std::min(ncol, elem_hi - l * ncol);
     for (std::size_t c = 0; c < c_lo; ++c) (void)noise.next();
 
+    // Mode loop outermost over a row buffer: contiguous basis rows, and
+    // each point still sums its modes in order j = 0, 1, ... from 0.0.
+    const std::size_t width = c_hi - c_lo;
+    std::fill_n(row.begin(), width, 0.0);
+    for (std::size_t j = 0; j < kModes; ++j) {
+      const double cj = coeff[j];
+      const double* b = basis_.data() + j * ncol + c_lo;
+      for (std::size_t c = 0; c < width; ++c) row[c] += cj * b[c];
+    }
     float* dst = out.data() + (l * ncol + c_lo - elem_lo);
-    for (std::size_t c = c_lo; c < c_hi; ++c) {
-      double g = 0.0;
-      for (std::size_t j = 0; j < kModes; ++j) {
-        g += coeff[j] * basis_[j * ncol + c];
-      }
-      g += spec_.anomaly_frac * spec_.noise_frac * noise.next();
-      dst[c - c_lo] = transform(g, lf);
+    for (std::size_t c = 0; c < width; ++c) {
+      const double g = row[c] + spec_.anomaly_frac * spec_.noise_frac * noise.next();
+      dst[c] = transform(g, lf);
     }
     if (spec_.has_fill) {
       for (std::size_t c = c_lo; c < c_hi; ++c) {

@@ -40,8 +40,7 @@ std::vector<std::size_t> ChunkedCodec::chunk_offsets(const Shape& shape) const {
   return offsets;
 }
 
-Shape ChunkedCodec::chunk_shape(const Shape& shape, std::size_t lo,
-                                std::size_t hi) const {
+Shape ChunkedCodec::chunk_shape(const Shape& shape, std::size_t lo, std::size_t hi) {
   CESM_REQUIRE(lo < hi && hi <= shape.count());
   if (shape.rank() > 1) {
     const std::size_t slice = shape.count() / shape.dims[0];

@@ -57,8 +57,7 @@ class ChunkedCodec final : public Codec {
   /// Shape of the chunk covering element range [lo, hi) of `shape` — the
   /// same shape encode() hands the inner codec for that chunk. The range
   /// must be a whole number of slowest-dimension slices when rank > 1.
-  [[nodiscard]] Shape chunk_shape(const Shape& shape, std::size_t lo,
-                                  std::size_t hi) const;
+  [[nodiscard]] static Shape chunk_shape(const Shape& shape, std::size_t lo, std::size_t hi);
 
   /// Exact byte size of the packed stream encode() would emit for `shape`
   /// given each chunk's encoded size (in chunk_offsets order).

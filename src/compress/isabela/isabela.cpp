@@ -136,19 +136,21 @@ std::vector<T> isa_decode_impl(std::span<const std::uint8_t> stream) {
     const double floor_abs = pr.f64();
     std::vector<double> coeff(ncoef);
     for (double& c : coeff) c = pr.f64();
-    const CubicBSpline spline(std::move(coeff), len);
-    const std::vector<double> estimate = spline.evaluate_all();
-
+    // The permutation bytes are checked to be present before anything of
+    // size `len` is allocated, so a hostile window length fails typed.
     const unsigned pbits = bits_for(len);
     const std::size_t perm_bytes = (len * pbits + 7) / 8;
+    const std::span<const std::uint8_t> perm_bits = pr.raw(perm_bytes);
     std::vector<std::uint32_t> perm(len);
     {
-      BitReader br(pr.raw(perm_bytes));
+      BitReader br(perm_bits);
       for (auto& p : perm) {
         p = static_cast<std::uint32_t>(br.get(pbits));
         if (p >= len) throw FormatError("isabela permutation out of range");
       }
     }
+    const CubicBSpline spline(std::move(coeff), len);
+    const std::vector<double> estimate = spline.evaluate_all();
 
     RangeDecoder dec(pr.raw(pr.remaining()));
     ResidualCoder coder;

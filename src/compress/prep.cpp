@@ -7,6 +7,24 @@
 
 namespace cesm::comp {
 
+PrepPlanPtr build_plan(const Codec& codec, std::span<const float> data, const Shape& shape) {
+  if (codec.prep_key().empty()) return nullptr;
+  try {
+    CESM_FAILPOINT("comp.prep_plan");
+    return codec.build_prep(data, shape);
+  } catch (const InvalidArgument&) {
+    // Exception parity: build_prep validates its input exactly like
+    // encode() would, so the direct path is guaranteed to throw the
+    // same error — propagate it rather than encoding twice.
+    throw;
+  } catch (const Error&) {
+    // Injected plan-stage fault (or any other plan-only failure): the
+    // sweep must not be poisoned — fall back to the direct path.
+    trace::counter_add("prep.plan_faults", 1);
+    return nullptr;
+  }
+}
+
 PlanStore::PlanStore(std::size_t cap_bytes, util::MemoryBudget* budget)
     : cap_bytes_(cap_bytes), budget_(budget) {}
 
@@ -24,20 +42,7 @@ PrepPlanPtr PlanStore::plan_for(const Codec& codec, std::span<const float> data,
     trace::counter_add("prep.plan_reused", 1);
     return plan;
   }
-  try {
-    CESM_FAILPOINT("comp.prep_plan");
-    plan = codec.build_prep(data, shape);
-  } catch (const InvalidArgument&) {
-    // Exception parity: build_prep validates its input exactly like
-    // encode() would, so the direct path is guaranteed to throw the
-    // same error — propagate it rather than encoding twice.
-    throw;
-  } catch (const Error&) {
-    // Injected plan-stage fault (or any other plan-only failure): the
-    // sweep must not be poisoned — fall back to the direct path.
-    trace::counter_add("prep.plan_faults", 1);
-    return nullptr;
-  }
+  plan = build_plan(codec, data, shape);
   if (plan == nullptr) return nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);

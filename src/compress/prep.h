@@ -42,6 +42,14 @@
 
 namespace cesm::comp {
 
+/// The family plan for `data`, built on the spot by the rule every plan
+/// user shares: null means "take the direct path" — an unplannable codec
+/// (empty prep_key) or a plan-stage fault (the "comp.prep_plan" site);
+/// input-validation errors (InvalidArgument) propagate, since the direct
+/// path would throw them too.
+[[nodiscard]] PrepPlanPtr build_plan(const Codec& codec, std::span<const float> data,
+                                     const Shape& shape);
+
 class PlanStore {
  public:
   /// `cap_bytes` bounds the resident plan bytes (0 disables caching

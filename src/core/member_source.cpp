@@ -1,61 +1,41 @@
 #include "core/member_source.h"
 
+#include "util/error.h"
+
 namespace cesm::core {
 
-BufferPool::Lease::Lease(BufferPool& pool) : pool_(pool) {
-  {
-    std::lock_guard<std::mutex> lock(pool_.mu_);
-    if (!pool_.free_.empty()) {
-      buf_ = std::move(pool_.free_.back());
-      pool_.free_.pop_back();
-    }
-  }
-  if (buf_.empty()) buf_.resize(pool_.elems_);
-}
-
-BufferPool::Lease::~Lease() {
-  std::lock_guard<std::mutex> lock(pool_.mu_);
-  pool_.free_.push_back(std::move(buf_));
+double MemberSource::encoded_cr(const comp::Codec& codec, std::size_t m,
+                                comp::PlanStore* plans) const {
+  const comp::Codec& inner = chunk_codec(codec);
+  const std::uint64_t first_block = static_cast<std::uint64_t>(m) * chunk_count();
+  std::vector<std::size_t> sizes;
+  sizes.reserve(chunk_count());
+  walk(m, [&](const Chunk& c) {
+    const Bytes stream = plans != nullptr
+                             ? plans->encode(inner, c.values, c.shape, first_block + c.index)
+                             : inner.encode(c.values, c.shape);
+    sizes.push_back(stream.size());
+  });
+  return member_cr(codec, sizes);
 }
 
 ResidentMembers::ResidentMembers(const EnsembleStats& stats)
-    : MemberSource(stats), stats_(stats), recon_(stats.member(0).size()) {}
+    : MemberSource(stats), stats_(stats) {}
 
 std::string ResidentMembers::variable() const { return stats_.member(0).name; }
 
-Bytes ResidentMembers::encode(const comp::Codec& codec, std::size_t m,
-                              comp::PlanStore* plans) const {
-  const climate::Field& original = stats_.member(m);
-  return plans != nullptr ? plans->encode(codec, original.data, original.shape, m)
-                          : codec.encode(original.data, original.shape);
+std::size_t ResidentMembers::max_chunk_elems() const { return stats_.member(0).size(); }
+
+void ResidentMembers::walk(std::size_t m, const ChunkFn& fn) const {
+  CESM_REQUIRE(m < stats_.member_count());
+  const climate::Field& field = stats_.member(m);
+  fn(Chunk{0, 0, field.data, field.shape});
 }
 
-double ResidentMembers::round_trip(const comp::Codec& codec, std::size_t m,
-                                   comp::PlanStore* plans,
-                                   const ChunkVisitor& visit) const {
-  const std::vector<float>& original = stats_.member(m).data;
-  const Bytes stream = encode(codec, m, plans);
-  BufferPool::Lease recon(recon_);
-  codec.decode_into(stream, recon.span());
-  visit(0, original, recon.span());
-  return comp::compression_ratio(stream.size(), original.size());
-}
-
-void ResidentMembers::reconstruct(const comp::Codec& codec, std::size_t m,
-                                  comp::PlanStore* plans, const ChunkVisitor& visit) const {
-  const climate::Field& original = stats_.member(m);
-  BufferPool::Lease recon(recon_);
-  if (plans != nullptr) {
-    plans->reconstruct_into(codec, original.data, original.shape, m, recon.span());
-  } else {
-    codec.reconstruct_into(original.data, original.shape, nullptr, recon.span());
-  }
-  visit(0, original.data, recon.span());
-}
-
-double ResidentMembers::encoded_cr(const comp::Codec& codec, std::size_t m,
-                                   comp::PlanStore* plans) const {
-  return comp::compression_ratio(encode(codec, m, plans).size(), stats_.member(m).size());
+double ResidentMembers::member_cr(const comp::Codec&,
+                                  std::span<const std::size_t> sizes) const {
+  CESM_REQUIRE(sizes.size() == 1);
+  return comp::compression_ratio(sizes[0], stats_.member(0).size());
 }
 
 }  // namespace cesm::core

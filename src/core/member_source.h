@@ -6,25 +6,24 @@
 // body in core/suite.h) needs two things from an ensemble: the
 // SufficientStats the verdict is scored against (core/rmsz.h: per-point
 // sum/sum², the validity mask, the RMSZ and E_nmax distributions, member
-// summaries), and a way to round-trip member m through a codec. A
-// MemberSource provides both. The round trip hands each (original,
-// reconstructed) chunk pair to a visitor together with its element offset,
-// in order, and returns the compression ratio; a reconstruction (the bias
-// sweep's path) hands over the same pairs without producing a stream. The
-// pipeline feeds the pairs to the streaming kernels (stats/kernels.h),
-// which reproduce the one-shot accumulators bit for bit for any chunk
-// partition.
+// summaries), and member m's values, chunk by chunk, each with the codec
+// that applies to it. A MemberSource provides both: walk() hands every
+// chunk of member m over once, in offset order, and the pipeline encodes,
+// decodes or reconstructs it under as many codecs as it likes before the
+// walk moves on. The chunk pairs feed the streaming kernels
+// (stats/kernels.h), which reproduce the one-shot accumulators bit for bit
+// for any chunk partition.
 //
 // Two sources exist. ResidentMembers (below) serves members held in an
 // EnsembleStats: the whole field is one chunk, encoded through the codec as
 // given. SpilledMembers (core/ooc.cpp) serves members staged in a CNK1
-// chunk store: each chunk goes through the wrapped ChunkedCodec's inner
-// codec and the CR is sized with packed_stream_bytes. With the same chunk
-// partition the two yield bit-identical verdicts.
+// chunk store: each chunk is read and checksummed once per walk and goes
+// through the wrapped ChunkedCodec's inner codec, and the CR is sized with
+// packed_stream_bytes. With the same chunk partition the two yield
+// bit-identical verdicts.
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
@@ -34,42 +33,20 @@
 #include "compress/prep.h"
 #include "core/rmsz.h"
 #include "stats/descriptive.h"
+#include "util/memory.h"
 
 namespace cesm::core {
 
-/// Float buffers recycled across concurrent member round trips: a lease
-/// takes a free buffer (allocating only when every buffer is in use) and
-/// returns it on destruction, so a sweep allocates once per concurrently
-/// running round trip rather than once per member.
-class BufferPool {
- public:
-  explicit BufferPool(std::size_t elems) : elems_(elems) {}
-
-  class Lease {
-   public:
-    explicit Lease(BufferPool& pool);
-    ~Lease();
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-
-    [[nodiscard]] std::span<float> span() { return buf_; }
-
-   private:
-    BufferPool& pool_;
-    std::vector<float> buf_;
-  };
-
- private:
-  std::size_t elems_;
-  std::mutex mu_;
-  std::vector<std::vector<float>> free_;  // guarded by mu_
-};
-
 class MemberSource {
  public:
-  /// Receives (offset, original chunk, reconstructed chunk).
-  using ChunkVisitor = std::function<void(std::size_t, std::span<const float>,
-                                          std::span<const float>)>;
+  /// One chunk of a member walk.
+  struct Chunk {
+    std::size_t index = 0;   ///< chunk number within the member
+    std::size_t offset = 0;  ///< element offset within the field
+    std::span<const float> values;
+    comp::Shape shape;       ///< what the chunk codec is applied under
+  };
+  using ChunkFn = std::function<void(const Chunk&)>;
 
   virtual ~MemberSource() = default;
   MemberSource(const MemberSource&) = delete;
@@ -82,22 +59,31 @@ class MemberSource {
 
   [[nodiscard]] virtual std::string variable() const = 0;
 
-  /// Encode member m through `codec` (plan-driven when `plans` is
-  /// non-null), decode it, pass every chunk pair to `visit` in offset
-  /// order, and return the compression ratio of the whole member.
-  virtual double round_trip(const comp::Codec& codec, std::size_t m,
-                            comp::PlanStore* plans, const ChunkVisitor& visit) const = 0;
+  /// Chunks per member and the largest one: every walk has this partition.
+  [[nodiscard]] virtual std::size_t chunk_count() const = 0;
+  [[nodiscard]] virtual std::size_t max_chunk_elems() const = 0;
 
-  /// Compression ratio of member m through `codec`, encode only.
-  [[nodiscard]] virtual double encoded_cr(const comp::Codec& codec, std::size_t m,
-                                          comp::PlanStore* plans) const = 0;
+  /// The codec applied to each chunk when member m goes through `codec`:
+  /// `codec` itself for resident members, the wrapped ChunkedCodec's inner
+  /// codec for spilled ones.
+  [[nodiscard]] virtual const comp::Codec& chunk_codec(const comp::Codec& codec) const = 0;
 
-  /// Reconstruct member m through `codec` without producing a stream
-  /// (Codec::reconstruct_into, plan-driven when `plans` is non-null) and
-  /// pass every chunk pair to `visit` in offset order. The pairs are
-  /// bit-identical to round_trip()'s; there is no CR and no decode.
-  virtual void reconstruct(const comp::Codec& codec, std::size_t m,
-                           comp::PlanStore* plans, const ChunkVisitor& visit) const = 0;
+  /// Call `fn` for every chunk of member m in offset order; each chunk is
+  /// read once and stays valid for the duration of its call.
+  virtual void walk(std::size_t m, const ChunkFn& fn) const = 0;
+
+  /// Compression ratio of a whole member under `codec`, given the stream
+  /// size of each of its chunks in walk order.
+  [[nodiscard]] virtual double member_cr(const comp::Codec& codec,
+                                         std::span<const std::size_t> sizes) const = 0;
+
+  /// The budget lane-local encode-prep plans are charged to (null: none).
+  [[nodiscard]] virtual util::MemoryBudget* plan_budget() const { return nullptr; }
+
+  /// Compression ratio of member m through `codec`, encode only (plan
+  /// driven through `plans` when non-null, keyed per (member, chunk)).
+  [[nodiscard]] double encoded_cr(const comp::Codec& codec, std::size_t m,
+                                  comp::PlanStore* plans) const;
 
  protected:
   /// Scores against `stats`, which must outlive the source.
@@ -113,19 +99,17 @@ class ResidentMembers final : public MemberSource {
   explicit ResidentMembers(const EnsembleStats& stats);
 
   [[nodiscard]] std::string variable() const override;
-  double round_trip(const comp::Codec& codec, std::size_t m, comp::PlanStore* plans,
-                    const ChunkVisitor& visit) const override;
-  [[nodiscard]] double encoded_cr(const comp::Codec& codec, std::size_t m,
-                                  comp::PlanStore* plans) const override;
-  void reconstruct(const comp::Codec& codec, std::size_t m, comp::PlanStore* plans,
-                   const ChunkVisitor& visit) const override;
+  [[nodiscard]] std::size_t chunk_count() const override { return 1; }
+  [[nodiscard]] std::size_t max_chunk_elems() const override;
+  [[nodiscard]] const comp::Codec& chunk_codec(const comp::Codec& codec) const override {
+    return codec;
+  }
+  void walk(std::size_t m, const ChunkFn& fn) const override;
+  [[nodiscard]] double member_cr(const comp::Codec& codec,
+                                 std::span<const std::size_t> sizes) const override;
 
  private:
-  [[nodiscard]] Bytes encode(const comp::Codec& codec, std::size_t m,
-                             comp::PlanStore* plans) const;
-
   const EnsembleStats& stats_;
-  mutable BufferPool recon_;
 };
 
 }  // namespace cesm::core

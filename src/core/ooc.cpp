@@ -276,92 +276,114 @@ SpillSession::~SpillSession() {
 
 namespace {
 
-/// Members staged in a CNK1 chunk store, scored against their streamed
-/// statistics. Every member operation walks the member's chunks
-/// double-buffered and runs each through the wrapped ChunkedCodec's inner
-/// codec, with plans keyed per (member, chunk) so every variant of a
-/// family reuses the chunk's variant-invariant stage. Round trips size the
-/// CR with packed_stream_bytes — the byte count of the in-core chunked
-/// container for the same partition; reconstructions skip the stream.
-class SpilledMembers final : public MemberSource {
+/// Walk buffers recycled across concurrent member walks: a lease takes a
+/// free buffer (allocating only when every buffer is in use) and returns
+/// it on destruction, so a sweep allocates once per concurrently running
+/// walk rather than once per member.
+class BufferPool {
  public:
-  SpilledMembers(const ncio::ChunkStoreReader& store, const SufficientStats& stats)
-      : MemberSource(stats),
-        store_(store),
-        max_chunk_(max_chunk_elems(store.chunk_offsets())),
-        buffers_(3 * max_chunk_) {}
+  explicit BufferPool(std::size_t elems) : elems_(elems) {}
 
-  [[nodiscard]] std::string variable() const override { return store_.variable(); }
-  double round_trip(const comp::Codec& codec, std::size_t m, comp::PlanStore* plans,
-                    const ChunkVisitor& visit) const override {
-    return encode_walk(codec, m, plans, &visit);
-  }
-  [[nodiscard]] double encoded_cr(const comp::Codec& codec, std::size_t m,
-                                  comp::PlanStore* plans) const override {
-    return encode_walk(codec, m, plans, nullptr);
-  }
-  void reconstruct(const comp::Codec& codec, std::size_t m, comp::PlanStore* plans,
-                   const ChunkVisitor& visit) const override {
-    walk(codec, m,
-         [&](const comp::Codec& inner, std::size_t lo, std::span<const float> x,
-             const comp::Shape& cs, std::uint64_t block, std::span<float> out) {
-           if (plans != nullptr) {
-             plans->reconstruct_into(inner, x, cs, block, out);
-           } else {
-             inner.reconstruct_into(x, cs, nullptr, out);
-           }
-           visit(lo, x, out);
-         });
-  }
+  class Lease {
+   public:
+    explicit Lease(BufferPool& pool) : pool_(pool) {
+      {
+        std::lock_guard<std::mutex> lock(pool_.mu_);
+        if (!pool_.free_.empty()) {
+          buf_ = std::move(pool_.free_.back());
+          pool_.free_.pop_back();
+        }
+      }
+      if (buf_.empty()) buf_.resize(pool_.elems_);
+    }
+    ~Lease() {
+      std::lock_guard<std::mutex> lock(pool_.mu_);
+      pool_.free_.push_back(std::move(buf_));
+    }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+
+    [[nodiscard]] std::span<float> span() { return buf_; }
+
+   private:
+    BufferPool& pool_;
+    std::vector<float> buf_;
+  };
 
  private:
-  /// Call process(inner codec, offset, chunk, chunk shape, plan block,
-  /// reconstruction slab) for every chunk of member m in store order.
-  template <typename Process>
-  void walk(const comp::Codec& codec, std::size_t m, Process&& process) const {
-    CESM_REQUIRE(m < stats().member_count());
+  std::size_t elems_;
+  std::mutex mu_;
+  std::vector<std::vector<float>> free_;  // guarded by mu_
+};
+
+/// Members staged in a CNK1 chunk store, scored against their streamed
+/// statistics. A walk reads each chunk once, double-buffered; every codec
+/// applies to it through the wrapped ChunkedCodec's inner codec, and a
+/// member's CR is sized with packed_stream_bytes — the byte count of the
+/// in-core chunked container for the same partition.
+class SpilledMembers final : public MemberSource {
+ public:
+  SpilledMembers(const ncio::ChunkStoreReader& store, const SufficientStats& stats,
+                 util::MemoryBudget& budget)
+      : MemberSource(stats),
+        store_(store),
+        budget_(budget),
+        max_chunk_(core::max_chunk_elems(store.chunk_offsets())),
+        buffers_(2 * max_chunk_) {
+    const std::vector<std::size_t>& offsets = store.chunk_offsets();
+    for (std::size_t c = 0; c + 1 < offsets.size(); ++c) {
+      shapes_.push_back(
+          comp::ChunkedCodec::chunk_shape(store.shape(), offsets[c], offsets[c + 1]));
+    }
+  }
+
+  [[nodiscard]] std::string variable() const override { return store_.variable(); }
+  [[nodiscard]] std::size_t chunk_count() const override { return store_.chunk_count(); }
+  [[nodiscard]] std::size_t max_chunk_elems() const override { return max_chunk_; }
+  [[nodiscard]] const comp::Codec& chunk_codec(const comp::Codec& codec) const override {
     const auto* chunked = dynamic_cast<const comp::ChunkedCodec*>(&codec);
     CESM_REQUIRE(chunked != nullptr);
+    return *chunked->inner();
+  }
+  [[nodiscard]] util::MemoryBudget* plan_budget() const override { return &budget_; }
+
+  void walk(std::size_t m, const ChunkFn& fn) const override {
+    CESM_REQUIRE(m < stats().member_count());
     const std::vector<std::size_t>& offsets = store_.chunk_offsets();
     BufferPool::Lease lease(buffers_);
     const std::span<float> buf = lease.span();
-    const std::uint64_t first_block = static_cast<std::uint64_t>(m) * store_.chunk_count();
     walk_member_chunks(store_, static_cast<std::uint32_t>(m), buf.first(max_chunk_),
                        buf.subspan(max_chunk_, max_chunk_),
                        [&](std::size_t c, std::span<const float> x) {
-                         process(*chunked->inner(), offsets[c], x,
-                                 chunked->chunk_shape(store_.shape(), offsets[c],
-                                                      offsets[c + 1]),
-                                 first_block + c, buf.subspan(2 * max_chunk_, x.size()));
+                         fn(Chunk{c, offsets[c], x, shapes_[c]});
                        });
   }
 
-  /// Encode member m chunk by chunk; with a visitor, also decode each
-  /// chunk and hand it the pair. Returns the whole member's CR.
-  double encode_walk(const comp::Codec& codec, std::size_t m, comp::PlanStore* plans,
-                     const ChunkVisitor* visit) const {
-    std::vector<std::size_t> sizes(store_.chunk_count());
-    std::size_t c = 0;
-    walk(codec, m,
-         [&](const comp::Codec& inner, std::size_t lo, std::span<const float> x,
-             const comp::Shape& cs, std::uint64_t block, std::span<float> out) {
-           const Bytes stream =
-               plans != nullptr ? plans->encode(inner, x, cs, block) : inner.encode(x, cs);
-           sizes[c++] = stream.size();
-           if (visit != nullptr) {
-             inner.decode_into(stream, out);
-             (*visit)(lo, x, out);
-           }
-         });
-    const auto& chunked = dynamic_cast<const comp::ChunkedCodec&>(codec);
-    return comp::compression_ratio(chunked.packed_stream_bytes(store_.shape(), sizes),
+  [[nodiscard]] double member_cr(const comp::Codec& codec,
+                                 std::span<const std::size_t> sizes) const override {
+    const auto* chunked = dynamic_cast<const comp::ChunkedCodec*>(&codec);
+    CESM_REQUIRE(chunked != nullptr);
+    return comp::compression_ratio(chunked->packed_stream_bytes(store_.shape(), sizes),
                                    store_.total_elems());
   }
 
+ private:
   const ncio::ChunkStoreReader& store_;
+  util::MemoryBudget& budget_;
   std::size_t max_chunk_;
-  mutable BufferPool buffers_;  ///< two walk buffers + one reconstruction
+  std::vector<comp::Shape> shapes_;
+  mutable BufferPool buffers_;  ///< the two walk buffers
 };
+
+}  // namespace
+
+std::unique_ptr<MemberSource> spilled_members(const ncio::ChunkStoreReader& store,
+                                              const SufficientStats& stats,
+                                              util::MemoryBudget& budget) {
+  return std::make_unique<SpilledMembers>(store, stats, budget);
+}
+
+namespace {
 
 /// Deletes a reused spill file when the scope unwinds with an exception:
 /// bytes that failed a run are never trusted by the next one. (POSIX
@@ -379,12 +401,13 @@ struct ReusedSpillInvalidator {
   }
 };
 
-/// Verify-phase buffer allowance: per concurrent round trip
-/// (parallel_lanes()), the two walk buffers, the reconstruction slab, and a
-/// transient-encode allowance of one more chunk (codec streams of roughly
-/// chunk size).
+/// Verify-phase buffer allowance: per concurrent member walk
+/// (parallel_lanes()), the two walk buffers, the lane's reconstruction
+/// slab, a transient-encode allowance of one more chunk (codec streams of
+/// roughly chunk size), and the lane's leave-one-out mean and variance of
+/// the chunk (two doubles a point, four chunks of floats).
 std::uint64_t verify_buffer_bytes(std::size_t max_chunk) {
-  return static_cast<std::uint64_t>(parallel_lanes()) * 4 * max_chunk * sizeof(float);
+  return static_cast<std::uint64_t>(parallel_lanes()) * 8 * max_chunk * sizeof(float);
 }
 
 }  // namespace
@@ -490,10 +513,10 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
     // charge the variable's own budget; one that does not fit is simply
     // not cached, so the CESM_MEM_MB cap is never at risk.
     comp::PlanStore plans(kPlanCacheBytes, &budget);
-    const SpilledMembers source(store, stats);
     SuiteConfig suite = config.suite;
     suite.chunk_elems = config.chunk_elems;
-    verify_variable(source, spec, suite, plans, nullptr, result);
+    verify_variable(*spilled_members(store, stats, budget), spec, suite, plans, nullptr,
+                    result);
   }
   budget.release(verify_bytes);
 

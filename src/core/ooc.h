@@ -57,6 +57,7 @@
 // sharing one spill_dir cannot collide on per-variable filenames.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -161,6 +162,15 @@ struct OocPhaseStats {
 /// resident array and read buffer.
 SufficientStats build_spilled_stats(const ncio::ChunkStoreReader& store,
                                     util::MemoryBudget& budget);
+
+/// The members of a staged variable as the verification pipeline reads
+/// them (core/member_source.h): walks read each CNK1 chunk once, codecs
+/// must be ChunkedCodecs over the store's partition, scores are against
+/// `stats`, and lane-local encode-prep plans are charged to `budget`. All
+/// three must outlive the source.
+std::unique_ptr<MemberSource> spilled_members(const ncio::ChunkStoreReader& store,
+                                              const SufficientStats& stats,
+                                              util::MemoryBudget& budget);
 
 /// Synthesize one variable's full ensemble into a CNK1 store at `path`
 /// (members in parallel, chunk-granular writes; never more than one chunk

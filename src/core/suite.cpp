@@ -113,28 +113,6 @@ VariableVerdict codec_error_verdict(const PvtVerifier& verifier, const comp::Cod
   return verdict;
 }
 
-/// verify() one variant; a thrown cesm::Error becomes a codec-error
-/// verdict. Non-null `injected` is an error already raised for this
-/// variant by the caller's catalog-order failpoint pre-pass: the verify is
-/// skipped and the codec-error path runs directly, so parallel sweeps
-/// attribute faults to the same variants as the serial schedule.
-VariableVerdict verify_with_fallback(const PvtVerifier& verifier, const comp::Codec& codec,
-                                     std::optional<float> fill,
-                                     std::span<const std::size_t> test_members,
-                                     const SuiteConfig& config,
-                                     const std::string* injected) {
-  if (injected != nullptr) {
-    return codec_error_verdict(verifier, codec, fill, test_members, config, *injected);
-  }
-  try {
-    return verifier.verify(codec, test_members, config.run_bias);
-  } catch (const InvalidArgument&) {
-    throw;  // caller bug, not a codec failure: keep the old contract
-  } catch (const Error& e) {
-    return codec_error_verdict(verifier, codec, fill, test_members, config, e.what());
-  }
-}
-
 }  // namespace
 
 VariableResult begin_variable(const climate::VariableSpec& spec, const SuiteConfig& config) {
@@ -162,10 +140,11 @@ void verify_variable(const MemberSource& source, const climate::VariableSpec& sp
   const std::size_t probe = result.test_members.front();
 
   // Characterization + lossless baselines on the probe member. The plan
-  // store is shared by every encode below: the variant-invariant stages
-  // (fpzip ordered map, ISABELA sort + fit, GRIB2 scans and wavelet lift)
-  // are computed once per member and reused across the fpzip-32 probe,
-  // the GRIB2 tuning ladder and every variant verify. Plans are pure
+  // store is shared by every test-member encode below: the
+  // variant-invariant stages (fpzip ordered map, ISABELA sort + fit, GRIB2
+  // scans and wavelet lift) are computed once per member and reused across
+  // the fpzip-32 probe, the GRIB2 tuning ladder and the sweep's round
+  // trips; reconstructed members use lane-local plans. Plans are pure
   // memoization — every stream stays byte-identical (prep.h).
   result.character.summary = source.stats().member_summary(probe);
   result.character.lossless_cr = source.encoded_cr(
@@ -188,24 +167,52 @@ void verify_variable(const MemberSource& source, const climate::VariableSpec& sp
       pool != nullptr ? pool->assemble(result.grib_decimal_scale, result.fill)
                       : comp::paper_variants(result.grib_decimal_scale, result.fill);
 
-  // One serial sweep in catalog order with one verifier, whose scratch
-  // arena stays warm from one variant to the next. The variant failpoint
-  // is hit once per variant, just before its verify.
-  PvtVerifier verifier(source, config.thresholds);
-  verifier.set_plan_store(&plans);
-  result.verdicts.reserve(variants.size());
-  for (const comp::CodecPtr& variant : variants) {
+  // The catalog-order failpoint pre-pass: one hit per variant, so faults
+  // land on the same variants at any worker count. An injected variant
+  // skips the sweep and goes straight to its codec-error verdict.
+  std::vector<std::optional<std::string>> injected(variants.size());
+  std::vector<comp::CodecPtr> wrapped;
+  std::vector<const comp::Codec*> swept;
+  for (std::size_t v = 0; v < variants.size(); ++v) {
     trace::counter_add("sweep.variant_tasks", 1);
-    std::optional<std::string> injected;
     try {
       CESM_FAILPOINT("suite.verify_variant");
     } catch (const Error& e) {
-      injected = e.what();
+      injected[v] = e.what();
     }
-    const comp::CodecPtr wrapped = with_chunking(variant, config.chunk_elems);
-    result.verdicts.push_back(verify_with_fallback(verifier, *wrapped, result.fill,
-                                                   result.test_members, config,
-                                                   injected ? &*injected : nullptr));
+    wrapped.push_back(with_chunking(variants[v], config.chunk_elems));
+    if (!injected[v]) swept.push_back(wrapped.back().get());
+  }
+
+  // Every other variant is scored by one member-major pass; a variant
+  // that threw becomes a codec-error verdict with its lowest failing
+  // member's message.
+  PvtVerifier verifier(source, config.thresholds);
+  verifier.set_plan_store(&plans);
+  std::vector<PvtVerifier::VariantOutcome> outcomes =
+      verifier.verify_variants(swept, result.test_members, config.run_bias);
+  result.verdicts.reserve(variants.size());
+  std::size_t next = 0;
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    const comp::Codec& codec = *wrapped[v];
+    if (injected[v]) {
+      result.verdicts.push_back(codec_error_verdict(verifier, codec, result.fill,
+                                                    result.test_members, config, *injected[v]));
+      continue;
+    }
+    PvtVerifier::VariantOutcome& outcome = outcomes[next++];
+    if (!outcome.error) {
+      result.verdicts.push_back(std::move(outcome.verdict));
+      continue;
+    }
+    std::string message;
+    try {
+      std::rethrow_exception(outcome.error);
+    } catch (const Error& e) {
+      message = e.what();
+    }
+    result.verdicts.push_back(codec_error_verdict(verifier, codec, result.fill,
+                                                  result.test_members, config, message));
   }
 }
 

@@ -48,10 +48,11 @@ struct SuiteConfig {
   /// Byte cap for the per-variable shared encode-prep plan cache
   /// (compress/prep.h): the variant-invariant stage of each codec family
   /// (fpzip ordered map, ISABELA sort + spline fit, GRIB2 bitmap/scan +
-  /// wavelet lift) is computed once per member and reused across the
+  /// wavelet lift) is computed once per test member and reused across the
   /// family's variants, the GRIB2 tuning ladder, and the lossless
-  /// baselines. Plans never change the emitted streams (bit-identity
-  /// contract). 0 disables plan sharing entirely.
+  /// baselines. The bias sweep's other members build lane-local plans
+  /// instead. Plans never change the emitted streams (bit-identity
+  /// contract). 0 disables the cache.
   std::size_t plan_cache_bytes = 128ull << 20;
 
   // --- robustness policy (exercised by cesm::fail injection) ---
@@ -153,8 +154,10 @@ VariableResult begin_variable(const climate::VariableSpec& spec, const SuiteConf
 /// The variable body over `source`: test-member draw, characterization and
 /// lossless baselines, RMSZ-guided GRIB2 tuning, the catalog-order
 /// failpoint pre-pass and the variant sweep with codec-error fallback.
-/// Every codec is wrapped with `config.chunk_elems`; every encode shares
-/// `plans`. Fills `result` as begin_variable() returned it.
+/// Every codec is wrapped with `config.chunk_elems`; every test-member
+/// encode shares `plans`, and the variants are scored by one member-major
+/// pass (PvtVerifier::verify_variants). Fills `result` as begin_variable()
+/// returned it.
 void verify_variable(const MemberSource& source, const climate::VariableSpec& spec,
                      const SuiteConfig& config, comp::PlanStore& plans,
                      const comp::VariantPool* pool, VariableResult& result);

@@ -171,6 +171,86 @@ TEST(IsabelaCodec, RejectsParametersItsOwnDecoderWouldReject) {
   EXPECT_EQ(codec.decode(stream).size(), data.size());
 }
 
+/// An ISABELA stream header (float data) for `n` points, as decode()
+/// reads it.
+Bytes isa_header(std::size_t n, std::uint32_t window, std::uint16_t coefficients) {
+  Bytes out;
+  ByteWriter w(out);
+  wire::write_header(w, 0x31415349, Shape::d1(n));
+  w.u8(sizeof(float));
+  w.f64(0.01);
+  w.u32(window);
+  w.u16(coefficients);
+  return out;
+}
+
+/// decode() must fail with FormatError or succeed; nothing else.
+void expect_typed_outcome(const IsabelaCodec& codec, const Bytes& stream) {
+  try {
+    (void)codec.decode(stream);
+  } catch (const FormatError&) {
+  }
+}
+
+TEST(IsabelaCodec, HostileWindowHeadersFailTypedWithoutGrowingTheGeometryCache) {
+  const IsabelaCodec codec(1.0, 16, 8);
+  const std::size_t cached = CubicBSpline::cached_geometries();
+
+  // More coefficients than samples (decode accepts up to len + 4; no
+  // encoder writes it): evaluated directly, never tabled.
+  {
+    Bytes stream = isa_header(8, 16, 8);
+    Bytes payload;
+    ByteWriter pw(payload);
+    pw.u32(8);   // window length
+    pw.u16(12);  // coefficients
+    pw.f64(1e-7);
+    for (int c = 0; c < 12; ++c) pw.f64(1.0);
+    pw.u8(0b10001000);  // permutation 0..7 at 3 bits each
+    pw.u8(0b11000110);
+    pw.u8(0b11111010);
+    pw.raw(Bytes(16, 0));  // correction bytes
+    ByteWriter w(stream);
+    w.u32(static_cast<std::uint32_t>(payload.size()));
+    w.raw(payload);
+    expect_typed_outcome(codec, stream);
+  }
+  // A window beyond the encoder's 2^20 bound whose length claims more
+  // permutation bytes than the payload holds: FormatError before anything
+  // of that length is allocated or tabled.
+  {
+    const std::size_t n = std::size_t{1} << 21;
+    Bytes stream = isa_header(n, 1u << 22, 32);
+    Bytes payload;
+    ByteWriter pw(payload);
+    pw.u32(static_cast<std::uint32_t>(n));
+    pw.u16(32);
+    pw.f64(1e-7);
+    for (int c = 0; c < 32; ++c) pw.f64(1.0);
+    ByteWriter w(stream);
+    w.u32(static_cast<std::uint32_t>(payload.size()));
+    w.raw(payload);
+    EXPECT_THROW((void)codec.decode(stream), FormatError);
+  }
+  EXPECT_EQ(CubicBSpline::cached_geometries(), cached);
+}
+
+TEST(IsabelaCodec, GeometryCacheStaysBoundedAcrossManyWindowShapes) {
+  // Every length below gives a different tail window, so each is a new
+  // (n, k) geometry: the per-thread cache must cap its entries while
+  // round trips stay within the error bound.
+  const IsabelaCodec codec(1.0, 16, 8);
+  for (std::size_t n = 17; n < 17 + 40; ++n) {
+    const auto data = noisy_field(n, 100 + n);
+    const auto out = codec.decode(codec.encode(data, Shape::d1(n)));
+    ASSERT_EQ(out.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_NEAR(out[i], data[i], std::fabs(data[i]) * 0.011 + 1e-6);
+    }
+    EXPECT_LE(CubicBSpline::cached_geometries(), 16u);
+  }
+}
+
 TEST(IsabelaCodec, NamesMatchPaperTables) {
   EXPECT_EQ(IsabelaCodec(0.1).name(), "ISA-0.1");
   EXPECT_EQ(IsabelaCodec(0.5).name(), "ISA-0.5");
