@@ -149,8 +149,9 @@ SufficientStats SufficientStats::build(const MemberChunks& src, util::MemoryBudg
   CESM_REQUIRE(s.valid_points_ > 0);
 
   // Pass 2 — parallel over members: one walk feeds the block-realigning
-  // moment and z-score streams (bit-equal to the one-shot kernels on the
-  // whole array) and folds the E_nmax distance.
+  // moment stream and the leave-one-out z-score stream (bit-equal to the
+  // one-shot kernels on the whole array) and folds the E_nmax distance.
+  // The member's own μ/σ² are derived a kernel block at a time.
   s.summaries_.resize(m_count);
   s.rmsz_dist_.resize(m_count);
   s.enmax_dist_.resize(m_count);
@@ -158,22 +159,30 @@ SufficientStats SufficientStats::build(const MemberChunks& src, util::MemoryBudg
          static_cast<std::uint64_t>(m_count) * (sizeof(stats::Summary) + 4 * sizeof(double)));
   charge("ooc.pass2_buffers", 2 * lane_bytes);
   const bool masked = !s.mask_.empty();
+  const stats::kernels::LeaveOneOut loo(n, s.mask_, static_cast<double>(m_count),
+                                        kDegenerateSpreadRelTol);
   parallel_for(0, m_count, [&](std::size_t m) {
     std::vector<float> buf0(buf_elems);
     std::vector<float> buf1(buf_elems);
+    std::vector<double> mu(stats::kernels::kBlock);
+    std::vector<double> var(stats::kernels::kBlock);
     stats::kernels::MomentStream mom(masked);
-    stats::kernels::ZScoreStream zs(static_cast<double>(m_count), kDegenerateSpreadRelTol,
-                                    masked);
+    stats::kernels::LooZScoreStream zs;
     double worst = 0.0;
     src.walk(static_cast<std::uint32_t>(m), buf0, buf1,
              [&](std::size_t lo, std::span<const float> x) {
                const std::size_t len = x.size();
-               const std::span<const std::uint8_t> mask =
-                   masked ? std::span<const std::uint8_t>(s.mask_).subspan(lo, len)
-                          : std::span<const std::uint8_t>{};
-               mom.feed(x, mask);
-               zs.feed(x, x, std::span<const double>(s.sum_).subspan(lo, len),
-                       std::span<const double>(s.sum_sq_).subspan(lo, len), mask);
+               mom.feed(x, masked ? std::span<const std::uint8_t>(s.mask_).subspan(lo, len)
+                                  : std::span<const std::uint8_t>{});
+               for (std::size_t i = 0; i < len; i += stats::kernels::kBlock) {
+                 const std::size_t take = std::min(stats::kernels::kBlock, len - i);
+                 const std::span<const float> xi = x.subspan(i, take);
+                 const std::span<double> mi = std::span(mu).first(take);
+                 const std::span<double> vi = std::span(var).first(take);
+                 loo.prepare(lo + i, xi, std::span<const double>(s.sum_).subspan(lo + i, take),
+                             std::span<const double>(s.sum_sq_).subspan(lo + i, take), mi, vi);
+                 zs.feed(loo, lo + i, xi, mi, vi);
+               }
                worst = std::max(worst, s.max_distance(static_cast<std::uint32_t>(m), lo, x));
              });
     const stats::kernels::MomentAccum a = mom.finish();

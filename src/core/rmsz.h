@@ -44,7 +44,7 @@ inline constexpr double kDegenerateSpreadRelTol = 3e-7;
 
 /// RMSZ (eq. 7) from a z-score accumulation — the exact finalization
 /// rmsz_of() applies, shared with the verification pipeline, which
-/// accumulates chunk by chunk (stats::ZScoreStream).
+/// accumulates chunk by chunk (stats::kernels::LooZScoreStream).
 inline double rmsz_from_accum(const stats::kernels::ZScoreAccum& acc) {
   if (acc.used == 0) return 0.0;
   return std::sqrt(acc.sum_z2 / static_cast<double>(acc.used));

@@ -509,6 +509,55 @@ TEST_F(OocTest, ReadChunkFaultOnReusedSpillInvalidatesAndRetries) {
   expect_variable_eq(warm.variables[0], cold.variables[0]);
 }
 
+TEST_F(OocTest, ReadChunkFaultDuringVerifyOfFreshSpillFailsTheVariable) {
+  // Member reads happen in the member-major pass's walk, outside any one
+  // variant: an I/O or checksum fault there is no codec's fault, so it
+  // fails the variable (and its retry restages) instead of turning one
+  // variant into a codec-error verdict.
+  OocConfig cfg = ooc_config();
+  cfg.spill_dir = fresh_store_dir("verify_read_fault");
+
+  // Count one clean run's spill reads. The pass is the variable's last
+  // reader, so the last read is one of the pass's.
+  fail::reset();
+  SuiteResults clean;
+  {
+    fail::ScopedFailpoint counting("ncio.read_chunk", fail::Trigger::with_probability(0.0));
+    clean = run_suite_streaming(*ensemble_, cfg, {"SST"});
+  }
+  const std::uint64_t reads = fail::hit_count("ncio.read_chunk");
+  ASSERT_FALSE(clean.variables[0].processing_failed);
+  ASSERT_GT(reads, 0u);
+
+  // With the default retry the variable is restaged and matches bitwise.
+  fail::reset();
+  SuiteResults retried;
+  const auto counters = traced_counters([&] {
+    fail::ScopedFailpoint fp("ncio.read_chunk", fail::Trigger::nth(reads));
+    retried = run_suite_streaming(*ensemble_, cfg, {"SST"});
+  });
+  EXPECT_EQ(fail::fire_count("ncio.read_chunk"), 1u);
+  EXPECT_EQ(counters.count("suite.variable_retries") ? counters.at("suite.variable_retries") : 0,
+            1u);
+  EXPECT_EQ(counters.count("suite.codec_errors") ? counters.at("suite.codec_errors") : 0, 0u);
+  ASSERT_FALSE(retried.variables[0].processing_failed);
+  expect_variable_eq(retried.variables[0], clean.variables[0]);
+
+  // Without a retry the variable fails with the read fault.
+  cfg.suite.variable_retry_limit = 0;
+  fail::reset();
+  SuiteResults failed;
+  {
+    fail::ScopedFailpoint fp("ncio.read_chunk", fail::Trigger::nth(reads));
+    failed = run_suite_streaming(*ensemble_, cfg, {"SST"});
+  }
+  EXPECT_EQ(fail::fire_count("ncio.read_chunk"), 1u);
+  fail::reset();
+  ASSERT_TRUE(failed.variables[0].processing_failed);
+  EXPECT_NE(failed.variables[0].error_message.find("ncio.read_chunk"), std::string::npos);
+  EXPECT_TRUE(failed.variables[0].verdicts.empty());
+}
+
 TEST_F(OocTest, SpillStoreEvictsOldestBeyondByteBudget) {
   OocConfig cfg = ooc_config();
   cfg.reuse_spill = true;

@@ -162,13 +162,16 @@ TEST_P(StreamKernels, ZScoreStreamMatchesOneShotBitwise) {
       masked ? boundary_mask(n, 0xd00d) : std::vector<std::uint8_t>{};
   const ZScoreAccum oneshot = zscore_sums(data, orig, sum, sum_sq, mask, members, kFloorRel);
   ASSERT_GT(oneshot.used, 0u);
+  const LeaveOneOut loo(n, mask, members, kFloorRel);
   for (std::size_t piece : kPartitions) {
-    ZScoreStream stream(members, kFloorRel, masked);
+    LooZScoreStream stream;
+    std::vector<double> mu(std::min(piece, n)), var(std::min(piece, n));
     for_each_piece(n, piece, [&](std::size_t lo, std::size_t len) {
-      stream.feed(std::span(data).subspan(lo, len), std::span(orig).subspan(lo, len),
-                  std::span(sum).subspan(lo, len), std::span(sum_sq).subspan(lo, len),
-                  masked ? std::span<const std::uint8_t>(mask).subspan(lo, len)
-                         : std::span<const std::uint8_t>{});
+      const std::span<double> m = std::span(mu).first(len);
+      const std::span<double> v = std::span(var).first(len);
+      loo.prepare(lo, std::span(orig).subspan(lo, len), std::span(sum).subspan(lo, len),
+                  std::span(sum_sq).subspan(lo, len), m, v);
+      stream.feed(loo, lo, std::span(data).subspan(lo, len), m, v);
     });
     const ZScoreAccum got = stream.finish();
     EXPECT_TRUE(bits_equal(got.sum_z2, oneshot.sum_z2)) << "piece=" << piece;
